@@ -14,7 +14,7 @@ use tpp_core::{
 };
 use tpp_graph::{parse_edge_list, write_edge_list, Edge, FastSet, Graph};
 use tpp_linkpred::{evaluate_attack_on, sample_non_edges, Attacker, SimilarityIndex};
-use tpp_metrics::{compute_utility, utility_loss, UtilityConfig};
+use tpp_metrics::{compute_utility, utility_loss, UtilityBaseline, UtilityConfig};
 use tpp_motif::Motif;
 use tpp_obs::Recorder;
 use tpp_store::{GraphDelta, VerifyMode};
@@ -342,9 +342,8 @@ struct PlanFileIn {
 /// candidate set the memoized engine re-scores.
 struct IncrementalRun {
     motif: Motif,
-    /// The base graph with the delta applied (the new "original").
-    original: Graph,
-    /// The TPP instance over the mutated graph.
+    /// The TPP instance over the mutated graph (the base graph with the
+    /// delta applied is its original).
     instance: TppInstance,
     /// Step records of the prior run, aligned round for round.
     prior_steps: Vec<StepRecord>,
@@ -425,9 +424,7 @@ fn prepare_incremental(
         ));
     }
     let base = TppInstance::new(g, targets.clone()).map_err(|e| e.to_string())?;
-    let original = applied.graph;
-    let instance =
-        TppInstance::new(original.clone(), targets.clone()).map_err(|e| e.to_string())?;
+    let instance = TppInstance::new(applied.graph, targets.clone()).map_err(|e| e.to_string())?;
     let dirty = delta_dirty_edges(
         base.released(),
         instance.released(),
@@ -438,13 +435,18 @@ fn prepare_incremental(
     );
     Ok(IncrementalRun {
         motif,
-        original,
         instance,
         prior_steps: prior.plan.steps,
         dirty,
         removed: applied.removed.len(),
         added: applied.added.len(),
     })
+}
+
+/// The utility protocol `protect` reports: the paper's large-graph one
+/// (clustering and core number, Table V), seeded by `--seed`.
+pub(crate) fn protect_utility_config(p: &Parsed) -> Result<UtilityConfig, String> {
+    Ok(UtilityConfig::large_graph(p.num_or("seed", 2020u64)?))
 }
 
 /// Warm-start inputs a resident server passes into a run; the one-shot
@@ -456,6 +458,10 @@ pub(crate) struct RunSeeds {
     pub index: Option<std::sync::Arc<tpp_motif::PartitionedCoverageIndex>>,
     /// The server's shared executor pool.
     pub pool: Option<tpp_exec::Parallelism>,
+    /// The resident graph's utility baseline (only consulted when it
+    /// serves the run's utility config and the run's original is that
+    /// graph, i.e. not on an incremental run).
+    pub utility: Option<std::sync::Arc<UtilityBaseline>>,
 }
 
 fn protect(p: &Parsed) -> Result<(), String> {
@@ -516,7 +522,7 @@ pub(crate) fn run_protect(
     // scan for the memoized repair; everything downstream (report,
     // --out, --plan) is shared, which is what keeps the repaired plan
     // file byte-identical to a from-scratch run on the mutated graph.
-    let (motif, original, instance, incremental) = if p.has("incremental") {
+    let (motif, instance, incremental) = if p.has("incremental") {
         let ir = prepare_incremental(p, g, algorithm, batch)?;
         let dirty_len = ir.dirty.len();
         let _ = writeln!(
@@ -524,18 +530,12 @@ pub(crate) fn run_protect(
             "incremental: delta -{}/+{} edges, {} dirty candidate(s)",
             ir.removed, ir.added, dirty_len
         );
-        (
-            ir.motif,
-            ir.original,
-            ir.instance,
-            Some((ir.prior_steps, ir.dirty)),
-        )
+        (ir.motif, ir.instance, Some((ir.prior_steps, ir.dirty)))
     } else {
         let motif = parse_motif(p)?;
         let targets = parse_targets(p, &g)?;
-        let original = g.clone();
         let instance = TppInstance::new(g, targets).map_err(|e| e.to_string())?;
-        (motif, original, instance, None)
+        (motif, instance, None)
     };
 
     let mut cfg = GreedyConfig::scalable(motif)
@@ -593,7 +593,15 @@ pub(crate) fn run_protect(
     }
 
     let released = instance.apply_protectors(&plan.protectors);
-    let loss = utility_loss(&original, &released, &UtilityConfig::large_graph(seed));
+    let config = protect_utility_config(p)?;
+    let loss = match (&seeds.utility, &incremental) {
+        // An incremental run's original is the delta-mutated graph, not
+        // the resident one the warm baseline measured.
+        (Some(baseline), None) if baseline.serves(&config) => {
+            baseline.loss(instance.original(), &released)
+        }
+        _ => utility_loss(instance.original(), &released, &config),
+    };
     let _ = writeln!(out, "utility loss (clust, cn): {}", loss.average_percent());
 
     if let Some(path) = p.flags.get("out") {

@@ -11,6 +11,11 @@
 //!   clones the cached [`PartitionedCoverageIndex`] into the run as an
 //!   index seed, skipping the build entirely (the targets are part of the
 //!   key because the index is built over the released graph they define);
+//! * **utility baseline** — per resident graph, the original's side of
+//!   the utility-loss report (its metric values and per-node triangle
+//!   counts), measured by the first protect and reused by later ones, which
+//!   then only subtract the triangles through their deleted edges; an
+//!   `update` drops it with the old graph;
 //! * **shared pool** — one `tpp-exec` worker set serves every request;
 //!   per-request recorders attach to it, so `--stats` replies stay
 //!   per-request while the threads are shared.
@@ -51,6 +56,7 @@ use std::time::{Duration, Instant};
 use tpp_core::{TppInstance, DEFAULT_INDEX_PARTITIONS};
 use tpp_exec::Parallelism;
 use tpp_graph::Graph;
+use tpp_metrics::UtilityBaseline;
 use tpp_motif::PartitionedCoverageIndex;
 use tpp_obs::{Recorder, ServeStats};
 
@@ -154,8 +160,14 @@ fn graph_key(path: &str) -> String {
         .map_or_else(|_| path.to_string(), |p| p.to_string_lossy().into_owned())
 }
 
+/// One resident graph's lazily measured utility baseline. `update` swaps
+/// in a fresh slot, so a request still holding the old slot can only fill
+/// that orphaned slot, never serve a stale baseline for the new graph.
+type UtilitySlot = Arc<Mutex<Option<Arc<UtilityBaseline>>>>;
+
 struct GraphEntry {
     graph: Graph,
+    utility: UtilitySlot,
     snapshot: bool,
     /// Last request that touched this entry (the LRU/TTL clock).
     last_used: Instant,
@@ -380,16 +392,18 @@ impl Server {
         }
         self.sweep_registries(Some(&recorder));
         let kernel_base = commands::start_kernel_counting(&recorder);
-        let g = self.graph_for(p, &recorder)?;
+        let (g, utility) = self.graph_for(p, &recorder)?;
         let mut seeds = RunSeeds {
-            index: None,
             pool: Some(self.pool.clone()),
+            ..RunSeeds::default()
         };
         if p.command == "protect" {
             // An incremental request solves the delta-mutated problem, so
-            // the registry's pre-delta index would be the wrong seed.
+            // the registry's pre-delta index and the resident graph's
+            // utility baseline would be the wrong seeds.
             if !p.has("incremental") {
                 seeds.index = self.index_for(p, &g, &recorder)?;
+                seeds.utility = Some(self.utility_for(p, &utility, &g, &recorder)?);
             }
             commands::run_protect(p, g, &recorder, kernel_base, stats_out.as_ref(), &seeds)
         } else {
@@ -470,6 +484,7 @@ impl Server {
             .apply(&base)
             .map_err(|e| format!("applying --delta {delta_path}: {e}"))?;
         entry.graph = applied.graph.clone();
+        entry.utility = UtilitySlot::default();
         entry.last_used = Instant::now();
         drop(graphs);
 
@@ -536,7 +551,9 @@ impl Server {
         Ok(out)
     }
 
-    fn graph_for(&self, p: &Parsed, recorder: &Recorder) -> Result<Graph, String> {
+    /// The graph registry: the resident graph (a clone) and its utility
+    /// slot, read under one lock so the two always belong together.
+    fn graph_for(&self, p: &Parsed, recorder: &Recorder) -> Result<(Graph, UtilitySlot), String> {
         let path = p
             .positional
             .first()
@@ -544,24 +561,50 @@ impl Server {
         let key = graph_key(path);
         if let Some(entry) = lock(&self.graphs).get_mut(&key) {
             entry.last_used = Instant::now();
-            let g = entry.graph.clone();
+            let resident = (entry.graph.clone(), Arc::clone(&entry.utility));
             self.bump(Some(recorder), |s| s.graph_hits.inc());
-            return Ok(g);
+            return Ok(resident);
         }
         // Miss: load outside the lock (two racing first requests both
         // load; the registry keeps whichever inserts last — same bytes).
         let snapshot = commands::is_snapshot(path);
         let g = commands::load_graph_observed(p, recorder)?;
         self.bump(Some(recorder), |s| s.graph_misses.inc());
+        let utility = UtilitySlot::default();
         lock(&self.graphs).insert(
             key,
             GraphEntry {
                 graph: g.clone(),
+                utility: Arc::clone(&utility),
                 snapshot,
                 last_used: Instant::now(),
             },
         );
-        Ok(g)
+        Ok((g, utility))
+    }
+
+    /// The utility registry: the resident graph's baseline under the run's
+    /// utility config, measured on first use (charged to this request) and
+    /// kept in the graph's slot until an `update` replaces the graph.
+    fn utility_for(
+        &self,
+        p: &Parsed,
+        slot: &UtilitySlot,
+        g: &Graph,
+        recorder: &Recorder,
+    ) -> Result<Arc<UtilityBaseline>, String> {
+        let config = commands::protect_utility_config(p)?;
+        let mut cached = lock(slot);
+        if let Some(baseline) = cached.as_ref().filter(|b| b.serves(&config)) {
+            self.bump(Some(recorder), |s| s.utility_hits.inc());
+            return Ok(Arc::clone(baseline));
+        }
+        // Measured under the slot lock: a client racing the first one
+        // waits for its baseline instead of measuring the graph again.
+        let baseline = Arc::new(UtilityBaseline::new(g, &config));
+        *cached = Some(Arc::clone(&baseline));
+        self.bump(Some(recorder), |s| s.utility_misses.inc());
+        Ok(baseline)
     }
 
     /// The index registry: a hit hands the cached build to the run as a
@@ -665,6 +708,12 @@ impl Server {
                 st.serve.index_hits.get(),
                 st.serve.index_misses.get(),
                 st.serve.index_evictions.get()
+            );
+            let _ = writeln!(
+                out,
+                "utility baselines: {} hits, {} misses",
+                st.serve.utility_hits.get(),
+                st.serve.utility_misses.get()
             );
         }
         out

@@ -409,3 +409,154 @@ fn info_reports_registries_and_absurd_threads_are_rejected() {
     assert!(err.contains("unknown serve request"), "got: {err}");
     shut_down(&socket, handle);
 }
+
+/// The report a one-shot `tpp protect` prints for `args`.
+fn one_shot_report(args: &[&str]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tpp"))
+        .arg("protect")
+        .args(args)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "one-shot protect failed: {out:?}");
+    String::from_utf8(out.stdout).unwrap()
+}
+
+#[test]
+fn utility_baseline_never_outlives_an_update() {
+    let (dir, socket) = scratch("utility");
+    let graph = dir.join("g.txt").to_str().unwrap().to_string();
+    dispatch(&[
+        "generate", "--model", "hk", "--nodes", "300", "--out", &graph,
+    ]);
+    let g = tpp_graph::parse_edge_list(&std::fs::read_to_string(&graph).unwrap()).unwrap();
+    let edges = g.edge_vec();
+    let targets = [edges[1], edges[edges.len() / 3], edges[2 * edges.len() / 3]];
+    let targets_spec = targets
+        .iter()
+        .map(|e| format!("{}-{}", e.u(), e.v()))
+        .collect::<Vec<_>>()
+        .join(",");
+    let touches_target = |e: tpp_graph::Edge| {
+        targets
+            .iter()
+            .any(|t| [t.u(), t.v()].contains(&e.u()) || [t.u(), t.v()].contains(&e.v()))
+    };
+
+    // A delta that moves clustering: three removals that break triangles
+    // and three triadic closures, none touching a target's endpoints.
+    let mut view = tpp_store::DeltaView::new(&g);
+    let removals = edges
+        .iter()
+        .filter(|&&e| !touches_target(e) && g.common_neighbor_count(e.u(), e.v()) > 0)
+        .step_by(7)
+        .take(3);
+    for &e in removals {
+        assert!(view.delete_edge(e));
+    }
+    let mut closures = 0;
+    'outer: for u in g.nodes() {
+        for &v in g.neighbors(u) {
+            for &w in g.neighbors(v) {
+                if u < w && !g.has_edge(u, w) {
+                    let e = tpp_graph::Edge::new(u, w);
+                    if !touches_target(e) && view.add_edge(e) {
+                        closures += 1;
+                        if closures == 3 {
+                            break 'outer;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let mut forward = String::new();
+    let mut inverse = String::new();
+    for e in view.deleted_edges() {
+        forward.push_str(&format!("- {} {}\n", e.u(), e.v()));
+        inverse.push_str(&format!("+ {} {}\n", e.u(), e.v()));
+    }
+    for e in view.added_edges() {
+        forward.push_str(&format!("+ {} {}\n", e.u(), e.v()));
+        inverse.push_str(&format!("- {} {}\n", e.u(), e.v()));
+    }
+    let forward_path = dir.join("forward.txt").to_str().unwrap().to_string();
+    let inverse_path = dir.join("inverse.txt").to_str().unwrap().to_string();
+    std::fs::write(&forward_path, forward).unwrap();
+    std::fs::write(&inverse_path, inverse).unwrap();
+    let mutated = dir.join("mutated.txt").to_str().unwrap().to_string();
+    std::fs::write(&mutated, tpp_graph::write_edge_list(&view.to_graph())).unwrap();
+
+    // One-shot references per graph state, with the plan path the served
+    // run reuses (the report names it).
+    let plan = dir.join("plan.json").to_str().unwrap().to_string();
+    let args = |file: &str| -> Vec<String> {
+        strs(&[
+            file,
+            "--budget",
+            "4",
+            "--targets",
+            &targets_spec,
+            "--plan",
+            &plan,
+        ])
+    };
+    let reference = |file: &str| {
+        let argv = args(file);
+        let argv: Vec<&str> = argv.iter().map(String::as_str).collect();
+        let report = one_shot_report(&argv);
+        (report, std::fs::read(&plan).unwrap())
+    };
+    let before = reference(&graph);
+    let after = reference(&mutated);
+    let loss_line = |bytes: &[u8]| {
+        String::from_utf8_lossy(bytes)
+            .lines()
+            .find(|l| l.contains("utility_loss_percent"))
+            .unwrap()
+            .to_string()
+    };
+    assert_ne!(
+        loss_line(&before.1),
+        loss_line(&after.1),
+        "the delta must move the utility loss, or a stale baseline would pass"
+    );
+
+    let handle = start_server(&socket, 2);
+    let protect = |expected: &(String, Vec<u8>), utility: &str| {
+        let mut argv = strs(&["protect"]);
+        argv.extend(args(&graph));
+        argv.extend(strs(&["--stats", "-"]));
+        let reply = serve::request(&socket, &argv).unwrap();
+        let (report, stats) = reply.split_at(reply.find("\n{").unwrap() + 1);
+        assert_eq!(report, expected.0, "served report diverged from one-shot");
+        assert_eq!(
+            std::fs::read(&plan).unwrap(),
+            expected.1,
+            "served plan diverged from one-shot"
+        );
+        let (hits, misses) = if utility == "hit" { (1, 0) } else { (0, 1) };
+        assert!(
+            stats.contains(&format!("\"utility_hits\": {hits}"))
+                && stats.contains(&format!("\"utility_misses\": {misses}")),
+            "expected a utility {utility}: {stats}"
+        );
+    };
+    let update = |delta: &str| {
+        let reply = serve::request(&socket, &strs(&["update", &graph, "--delta", delta])).unwrap();
+        assert!(reply.contains("-3/+3 edge(s)"), "got: {reply}");
+    };
+    protect(&before, "miss");
+    protect(&before, "hit");
+    update(&forward_path);
+    protect(&after, "miss");
+    protect(&after, "hit");
+    update(&inverse_path);
+    protect(&before, "miss");
+    protect(&before, "hit");
+    let info = serve::request(&socket, &strs(&["info"])).unwrap();
+    assert!(
+        info.contains("utility baselines: 3 hits, 3 misses"),
+        "got: {info}"
+    );
+    shut_down(&socket, handle);
+}

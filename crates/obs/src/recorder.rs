@@ -135,6 +135,11 @@ pub struct ServeStats {
     pub index_hits: Counter,
     /// Index requests that built fresh (and populated the registry).
     pub index_misses: Counter,
+    /// Protects that reused the resident graph's utility baseline.
+    pub utility_hits: Counter,
+    /// Protects that measured the resident graph's utility baseline (and
+    /// cached it).
+    pub utility_misses: Counter,
     /// Graph registry entries evicted (LRU cap or idle TTL).
     pub graph_evictions: Counter,
     /// Index registry entries evicted (LRU cap or idle TTL).
@@ -410,6 +415,11 @@ impl Stats {
                 ("graph_misses", self.serve.graph_misses.get().to_string()),
                 ("index_hits", self.serve.index_hits.get().to_string()),
                 ("index_misses", self.serve.index_misses.get().to_string()),
+                ("utility_hits", self.serve.utility_hits.get().to_string()),
+                (
+                    "utility_misses",
+                    self.serve.utility_misses.get().to_string(),
+                ),
                 (
                     "graph_evictions",
                     self.serve.graph_evictions.get().to_string(),
@@ -497,6 +507,7 @@ mod tests {
             "\"items_stolen\":",
             "\"hub_probe\":",
             "\"index_hits\":",
+            "\"utility_misses\":",
             "\"update\":",
             "\"graph_evictions\":",
             "\"candidates_memoized\":",
