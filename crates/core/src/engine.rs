@@ -327,6 +327,72 @@ pub struct TargetedPick {
     pub cross: usize,
 }
 
+/// A candidate's CT/WT score: the paper's `Δ_t^p = own + cross / C` as the
+/// exact lexicographic pair `(own, cross)`, plus the target it charges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TargetedScore {
+    own: usize,
+    cross: usize,
+    target: usize,
+}
+
+/// The open targets of one CT/WT round: a membership mask over every
+/// target id plus the smallest open id. One shared scorer reads it for
+/// the sequential round and the batch round alike.
+struct OpenTargets {
+    mask: Vec<bool>,
+    first: usize,
+}
+
+impl OpenTargets {
+    /// # Panics
+    /// Panics if `open` is empty, not strictly ascending, or names a
+    /// target id `>= target_count`.
+    fn new(open: impl IntoIterator<Item = usize>, target_count: usize) -> Self {
+        let mut mask = vec![false; target_count];
+        let mut last: Option<usize> = None;
+        for t in open {
+            assert!(
+                t < target_count,
+                "open target {t} out of range ({target_count} targets)"
+            );
+            assert!(
+                last.is_none_or(|prev| prev < t),
+                "open targets must be strictly ascending: {t} after {last:?}"
+            );
+            mask[t] = true;
+            last = Some(t);
+        }
+        let first = mask
+            .iter()
+            .position(|&open| open)
+            .expect("at least one open target");
+        OpenTargets { mask, first }
+    }
+
+    /// Scores one candidate from its sparse breakdown (ascending by
+    /// target, nonzero counts): `own` is the largest count among open
+    /// targets, charged to the smallest such target; a candidate touching
+    /// no open target is charged to the first open target with `own = 0`.
+    /// `None` when the candidate breaks nothing anywhere. Cost is the
+    /// breakdown's length, never the target count.
+    fn score(&self, breakdown: &[(usize, usize)]) -> Option<TargetedScore> {
+        let (mut total, mut own, mut target) = (0usize, 0usize, self.first);
+        for &(t, broken) in breakdown {
+            total += broken;
+            if broken > own && self.mask[t] {
+                own = broken;
+                target = t;
+            }
+        }
+        (total > 0).then_some(TargetedScore {
+            own,
+            cross: total - own,
+            target,
+        })
+    }
+}
+
 /// The shared per-round selection loop: candidate scan (sequential or
 /// sharded across threads), canonical tie-break, commit, and step
 /// recording — generic over the gain oracle.
@@ -415,32 +481,37 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
         (weights, total)
     }
 
-    /// `Δ_p` for every candidate, in candidate order: sequential on the
+    /// `eval` over every candidate, in candidate order: sequential on the
     /// oracle itself, otherwise a work-stealing scan over spans sized by
-    /// the [`ScanTuner`] (and feeding its next observation).
-    fn scan_deltas(&mut self, candidates: &[Edge]) -> Vec<usize> {
+    /// the [`ScanTuner`] (and feeding its next observation). Each worker
+    /// scores through its own [`GainProbe`].
+    fn scan_map<R: Send>(
+        &mut self,
+        candidates: &[Edge],
+        eval: impl Fn(&mut dyn GainProbe, Edge) -> R + Sync,
+    ) -> Vec<R> {
         if self.exec.is_sequential() {
             let t0 = self.obs.is_enabled().then(Instant::now);
             let probe: &mut dyn GainProbe = &mut self.oracle;
-            let gains: Vec<usize> = candidates.iter().map(|&p| probe.delta(p)).collect();
+            let scores: Vec<R> = candidates.iter().map(|&p| eval(&mut *probe, p)).collect();
             if let (Some(t0), Some(st)) = (t0, self.obs.stats()) {
                 st.round.scans.inc();
                 st.round.candidates_probed.add(candidates.len() as u64);
                 st.round.scan_ns.record_duration(t0.elapsed());
             }
-            return gains;
+            return scores;
         }
         let (weights, total) = self.candidate_weights(candidates);
         let spans = self.tuner.spans_for(self.exec.threads(), total);
         let started = Instant::now();
         let oracle = &self.oracle;
-        let gains = sharded_map_spans(
+        let scores = sharded_map_spans(
             candidates,
             &self.exec,
             spans,
             Some(&weights),
             || oracle.probe(),
-            |probe, p| probe.delta(p),
+            |probe, p| eval(probe.as_mut(), p),
         );
         let elapsed = started.elapsed();
         self.tuner.record(total, elapsed);
@@ -450,45 +521,7 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
             st.round.scan_ns.record_duration(elapsed);
             st.round.scan_spans.record(spans as u64);
         }
-        gains
-    }
-
-    /// Per-target gain vectors for every candidate, in candidate order
-    /// (the targeted-round analogue of [`scan_deltas`](Self::scan_deltas)).
-    fn scan_delta_vectors(&mut self, candidates: &[Edge]) -> Vec<Vec<usize>> {
-        if self.exec.is_sequential() {
-            let t0 = self.obs.is_enabled().then(Instant::now);
-            let probe: &mut dyn GainProbe = &mut self.oracle;
-            let vectors: Vec<Vec<usize>> =
-                candidates.iter().map(|&p| probe.delta_vector(p)).collect();
-            if let (Some(t0), Some(st)) = (t0, self.obs.stats()) {
-                st.round.scans.inc();
-                st.round.candidates_probed.add(candidates.len() as u64);
-                st.round.scan_ns.record_duration(t0.elapsed());
-            }
-            return vectors;
-        }
-        let (weights, total) = self.candidate_weights(candidates);
-        let spans = self.tuner.spans_for(self.exec.threads(), total);
-        let started = Instant::now();
-        let oracle = &self.oracle;
-        let vectors = sharded_map_spans(
-            candidates,
-            &self.exec,
-            spans,
-            Some(&weights),
-            || oracle.probe(),
-            |probe, p| probe.delta_vector(p),
-        );
-        let elapsed = started.elapsed();
-        self.tuner.record(total, elapsed);
-        if let Some(st) = self.obs.stats() {
-            st.round.scans.inc();
-            st.round.candidates_probed.add(candidates.len() as u64);
-            st.round.scan_ns.record_duration(elapsed);
-            st.round.scan_spans.record(spans as u64);
-        }
-        vectors
+        scores
     }
 
     /// Read access to the oracle's committed state.
@@ -827,7 +860,7 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
         if candidates.is_empty() {
             return 0;
         }
-        let gains = self.scan_deltas(&candidates);
+        let gains = self.scan_map(&candidates, |probe, p| probe.delta(p));
         // Canonical commit order: highest gain first, ties to the
         // canonically smallest edge — the sequential argmax, repeated.
         let mut order: Vec<usize> = (0..candidates.len()).collect();
@@ -907,7 +940,7 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
             return;
         }
         let candidates = self.oracle.candidates(self.policy);
-        let gains = self.scan_deltas(&candidates);
+        let gains = self.scan_map(&candidates, |probe, p| probe.delta(p));
         // Max-heap of (cached_gain, Reverse(edge), round_evaluated):
         // ordering by Reverse(edge) second pops the canonically smallest
         // edge on gain ties — the linear scan's tie-break exactly.
@@ -965,7 +998,7 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
             return;
         }
         let candidates = self.oracle.candidates(self.policy);
-        let gains = self.scan_deltas(&candidates);
+        let gains = self.scan_map(&candidates, |probe, p| probe.delta(p));
         let mut heap: BinaryHeap<(usize, Reverse<Edge>, usize)> = candidates
             .into_iter()
             .zip(gains)
@@ -1035,52 +1068,53 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
 
     /// One CT/WT round: over candidates with any gain, commit the first
     /// maximizer of lexicographic `(own, cross)` where `own` ranges over
-    /// the `open` targets (ascending target order breaks own-level ties).
+    /// the `open` targets (the smallest target id breaks own-level ties).
     /// The pick is charged to its target. `None` when nothing breaks
     /// anywhere — global exhaustion.
+    ///
+    /// # Panics
+    /// Panics unless `open` is strictly ascending and every id is a
+    /// target of the oracle.
     pub fn select_for_targets(&mut self, open: &[usize]) -> Option<TargetedPick> {
         if open.is_empty() {
             return None;
         }
+        let open = OpenTargets::new(open.iter().copied(), self.per_target.len());
+        self.select_for_open(&open)
+    }
+
+    /// [`select_for_targets`](Self::select_for_targets) over a validated
+    /// open set.
+    fn select_for_open(&mut self, open: &OpenTargets) -> Option<TargetedPick> {
         let best = self.select_custom(
-            |probe, p| {
-                let v = probe.delta_vector(p);
-                let total: usize = v.iter().sum();
-                if total == 0 {
-                    return None;
-                }
-                let mut local: Option<(usize, usize, usize)> = None;
-                for &t in open {
-                    let own = v[t];
-                    let cross = total - own;
-                    if local.is_none_or(|(bo, bc, _)| (own, cross) > (bo, bc)) {
-                        local = Some((own, cross, t));
-                    }
-                }
-                local
-            },
-            |a, b| (a.0, a.1) > (b.0, b.1),
+            |probe, p| open.score(probe.delta_breakdown(p)),
+            |a, b| (a.own, a.cross) > (b.own, b.cross),
         );
-        let ((own, cross, target), p) = best?;
-        let broken = self.commit_pick(p, Some(target), Some(own));
-        debug_assert_eq!(broken, own + cross, "gain vector must match break");
+        let (score, p) = best?;
+        let broken = self.commit_pick(p, Some(score.target), Some(score.own));
+        debug_assert_eq!(
+            broken,
+            score.own + score.cross,
+            "breakdown must match break"
+        );
         Some(TargetedPick {
             protector: p,
-            target,
-            own,
-            cross,
+            target: score.target,
+            own: score.own,
+            cross: score.cross,
         })
     }
 
     /// One **batch-aware** CT/WT round: scans every candidate once and
     /// commits up to `room` picks together. `open` lists the open targets
-    /// as `(target, remaining budget)` pairs in ascending target order
-    /// (every `remaining >= 1`).
+    /// as `(target, remaining budget)` pairs in strictly ascending target
+    /// order (every `remaining >= 1`).
     ///
     /// Candidates are ordered by the canonical targeted score — `(own,
     /// cross)` descending, ties to the smallest edge, each candidate
-    /// charged to the first open target maximizing its `(own, cross)` —
-    /// and accepted greedily under **per-charged-target disjointness**:
+    /// charged to the open target maximizing its `own` (the smallest such
+    /// target on ties) — and accepted greedily under
+    /// **per-charged-target disjointness**:
     ///
     /// * a pick's gain set (alive instances, [`GainOracle::gain_set`])
     ///   must be disjoint from every already-accepted pick's, which keeps
@@ -1096,55 +1130,43 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
     ///
     /// Accepted picks commit through one [`GainOracle::commit_batch`];
     /// oracles that cannot enumerate gain sets degrade to one commit per
-    /// round. `room == 1` delegates to
-    /// [`select_for_targets`](Self::select_for_targets) — bit-identical by
-    /// construction. Returns the committed picks in commit order (empty =
-    /// global exhaustion: no candidate breaks anything).
+    /// round. `room == 1` runs the
+    /// [`select_for_targets`](Self::select_for_targets) round —
+    /// bit-identical by construction. Returns the committed picks in
+    /// commit order (empty = global exhaustion: no candidate breaks
+    /// anything).
+    ///
+    /// # Panics
+    /// Panics unless the targets of `open` are strictly ascending and
+    /// every one is a target of the oracle.
     pub fn select_for_targets_batch(
         &mut self,
         open: &[(usize, usize)],
         room: usize,
     ) -> Vec<TargetedPick> {
-        if open.is_empty() || room == 0 {
+        if open.is_empty() {
             return Vec::new();
         }
-        let open_targets: Vec<usize> = open.iter().map(|&(t, _)| t).collect();
-        if room == 1 {
+        let open_targets = OpenTargets::new(open.iter().map(|&(t, _)| t), self.per_target.len());
+        match room {
+            0 => return Vec::new(),
             // A batch of one *is* a sequential targeted round.
-            return self.select_for_targets(&open_targets).into_iter().collect();
+            1 => return self.select_for_open(&open_targets).into_iter().collect(),
+            _ => {}
         }
         let candidates = self.oracle.candidates(self.policy);
         if candidates.is_empty() {
             return Vec::new();
         }
-        let vectors = self.scan_delta_vectors(&candidates);
-        // Score every candidate exactly as the sequential round does:
-        // charge to the first open target maximizing lexicographic
-        // (own, cross).
-        let scored: Vec<Option<(usize, usize, usize)>> = vectors
-            .iter()
-            .map(|v| {
-                let total: usize = v.iter().sum();
-                if total == 0 {
-                    return None;
-                }
-                let mut local: Option<(usize, usize, usize)> = None;
-                for &t in &open_targets {
-                    let own = v[t];
-                    let cross = total - own;
-                    if local.is_none_or(|(bo, bc, _)| (own, cross) > (bo, bc)) {
-                        local = Some((own, cross, t));
-                    }
-                }
-                local
-            })
-            .collect();
+        let scored = self.scan_map(&candidates, |probe, p| {
+            open_targets.score(probe.delta_breakdown(p))
+        });
         let mut order: Vec<usize> = (0..candidates.len())
             .filter(|&i| scored[i].is_some())
             .collect();
         order.sort_unstable_by_key(|&i| {
-            let (own, cross, _) = scored[i].expect("filtered to scored candidates");
-            (Reverse(own), Reverse(cross), candidates[i])
+            let score = scored[i].expect("filtered to scored candidates");
+            (Reverse(score.own), Reverse(score.cross), candidates[i])
         });
 
         // Per-target room left this round, indexed by target id.
@@ -1152,7 +1174,7 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
         for &(t, remaining) in open {
             budget_left[t] = remaining;
         }
-        let mut accepted: Vec<(Edge, usize, usize, usize)> = Vec::with_capacity(room);
+        let mut accepted: Vec<TargetedPick> = Vec::with_capacity(room);
         let mut claimed: FastSet<InstanceId> = FastSet::default();
         let mut opaque = false;
         let mut conflict_budget = room * BATCH_CONFLICTS_PER_SLOT;
@@ -1160,14 +1182,19 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
             if accepted.len() >= room {
                 break;
             }
-            let (own, cross, t) = scored[i].expect("filtered to scored candidates");
-            let p = candidates[i];
-            if budget_left[t] == 0 {
+            let score = scored[i].expect("filtered to scored candidates");
+            let pick = TargetedPick {
+                protector: candidates[i],
+                target: score.target,
+                own: score.own,
+                cross: score.cross,
+            };
+            if budget_left[pick.target] == 0 {
                 continue; // target full this round: rescored next round
             }
             if accepted.is_empty() {
                 // The top pick is unconditionally the sequential round's.
-                match self.oracle.gain_set(p) {
+                match self.oracle.gain_set(pick.protector) {
                     Some(ids) => claimed.extend(ids),
                     None => {
                         opaque = true;
@@ -1176,17 +1203,17 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
                         }
                     }
                 }
-                budget_left[t] -= 1;
-                accepted.push((p, own, cross, t));
+                budget_left[pick.target] -= 1;
+                accepted.push(pick);
             } else {
                 if opaque {
                     break;
                 }
-                match self.oracle.gain_set(p) {
+                match self.oracle.gain_set(pick.protector) {
                     Some(ids) if ids.iter().all(|id| !claimed.contains(id)) => {
                         claimed.extend(ids);
-                        budget_left[t] -= 1;
-                        accepted.push((p, own, cross, t));
+                        budget_left[pick.target] -= 1;
+                        accepted.push(pick);
                     }
                     // Conflict: skip for this round only, under the same
                     // bounded probe budget as the global batch round.
@@ -1208,18 +1235,13 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
 
         let records: Vec<(Edge, usize, Option<usize>, Option<usize>)> = accepted
             .iter()
-            .map(|&(p, own, cross, t)| (p, own + cross, Some(t), Some(own)))
+            .map(|pick| {
+                let broken = pick.own + pick.cross;
+                (pick.protector, broken, Some(pick.target), Some(pick.own))
+            })
             .collect();
         self.commit_accepted_batch(&records);
         accepted
-            .into_iter()
-            .map(|(p, own, cross, t)| TargetedPick {
-                protector: p,
-                target: t,
-                own,
-                cross,
-            })
-            .collect()
     }
 
     /// Finishes a global-budget run (SGB/CELF shape: no per-target
@@ -1254,6 +1276,110 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The dense CT/WT scoring closure the sparse [`OpenTargets::score`]
+    /// replaced, kept verbatim as its reference: charge to the first `open`
+    /// target maximizing lexicographic `(own, cross)` over a full
+    /// per-target gain vector.
+    fn dense_targeted_score(v: &[usize], open: &[usize]) -> Option<(usize, usize, usize)> {
+        let total: usize = v.iter().sum();
+        if total == 0 {
+            return None;
+        }
+        let mut local: Option<(usize, usize, usize)> = None;
+        for &t in open {
+            let own = v[t];
+            let cross = total - own;
+            if local.is_none_or(|(bo, bc, _)| (own, cross) > (bo, bc)) {
+                local = Some((own, cross, t));
+            }
+        }
+        local
+    }
+
+    /// Deterministic pseudo-random stream (the offline proptest shim has
+    /// no collection strategies; quoting the seed replays a case).
+    fn lcg(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The sparse scorer equals the dense closure on every gain vector
+        /// and open set: all targets, a single target, non-contiguous
+        /// subsets, and open sets the candidate does not touch at all.
+        #[test]
+        fn sparse_score_matches_dense_closure(
+            n in 1usize..=12,
+            vseed in 0u64..=100_000,
+            oseed in 0u64..=100_000,
+            shape in 0usize..5,
+        ) {
+            let mut next = lcg(vseed);
+            // Roughly half the targets untouched; shape 4 touches none.
+            let v: Vec<usize> = (0..n)
+                .map(|_| match next() % 8 {
+                    _ if shape == 4 => 0,
+                    0..=3 => 0,
+                    r => r as usize - 3,
+                })
+                .collect();
+            let mut next = lcg(oseed);
+            let mut open: Vec<usize> = match shape {
+                0 => (0..n).collect(),
+                1 => vec![next() as usize % n],
+                // Untouched targets only, whenever any exist.
+                2 => (0..n).filter(|&t| v[t] == 0).collect(),
+                _ => (0..n).filter(|_| next().is_multiple_of(3)).collect(),
+            };
+            if open.is_empty() {
+                open.push(next() as usize % n);
+            }
+            let sparse: Vec<(usize, usize)> =
+                v.iter().copied().enumerate().filter(|&(_, c)| c > 0).collect();
+            let got = OpenTargets::new(open.iter().copied(), n)
+                .score(&sparse)
+                .map(|s| (s.own, s.cross, s.target));
+            proptest::prop_assert_eq!(got, dense_targeted_score(&v, &open),
+                "v = {:?}, open = {:?}", v, open);
+        }
+    }
+
+    /// A two-target engine for the open-set precondition tests.
+    fn targeted_engine() -> RoundEngine<crate::oracle::IndexOracle> {
+        let mut g = tpp_graph::Graph::from_edges([(0u32, 1u32), (0, 2), (0, 3), (3, 1), (3, 2)]);
+        let targets = [Edge::new(0, 1), Edge::new(0, 2)];
+        for t in &targets {
+            g.remove_edge(t.u(), t.v());
+        }
+        let oracle = crate::oracle::IndexOracle::new(&g, &targets, tpp_motif::Motif::Triangle);
+        RoundEngine::new(oracle, CandidatePolicy::SubgraphEdges, 1)
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn descending_open_targets_are_rejected() {
+        let _ = targeted_engine().select_for_targets(&[1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn descending_open_targets_are_rejected_by_batch_rounds() {
+        let _ = targeted_engine().select_for_targets_batch(&[(1, 1), (0, 1)], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_open_targets_are_rejected() {
+        let _ = targeted_engine().select_for_targets(&[0, 2]);
+    }
 
     #[test]
     fn balanced_ranges_cover_and_balance() {

@@ -64,12 +64,14 @@ pub fn weighted_sgb_greedy(
     while engine.picks() < k {
         let pick = engine.select_custom(
             |probe, p| {
-                let v = probe.delta_vector(p);
-                let raw: usize = v.iter().sum();
+                // Sparse and ascending: the f64 fold adds the same nonzero
+                // terms in the same target order as a dense sweep would.
+                let breakdown = probe.delta_breakdown(p);
+                let raw: usize = breakdown.iter().map(|&(_, g)| g).sum();
                 if raw == 0 {
                     return None;
                 }
-                let weighted: f64 = v.iter().zip(weights).map(|(&g, &w)| g as f64 * w).sum();
+                let weighted: f64 = breakdown.iter().map(|&(t, g)| g as f64 * weights[t]).sum();
                 Some((weighted, raw))
             },
             |a, b| a.0 > b.0 + 1e-12 || ((a.0 - b.0).abs() <= 1e-12 && a.1 > b.1),
@@ -109,6 +111,8 @@ pub fn weighted_sgb_greedy(
 pub struct WeightedIndexOracle {
     inner: IndexOracle,
     weights: Vec<usize>,
+    /// Scratch behind [`GainOracle::gain_breakdown`].
+    breakdown: Vec<(usize, usize)>,
 }
 
 impl WeightedIndexOracle {
@@ -160,6 +164,7 @@ impl WeightedIndexOracle {
                 exec,
             ),
             weights: weights.to_vec(),
+            breakdown: Vec::new(),
         }
     }
 
@@ -170,40 +175,48 @@ impl WeightedIndexOracle {
     }
 }
 
-/// `Σ_t w_t · v_t` — **the** weighting fold; every weighted gain, total,
-/// and vector in this module goes through it (or
-/// [`weighted_components`]), so the oracle path and the probe path cannot
+/// `Σ_t w_t · c_t` over `(target, count)` pairs — **the** weighting fold;
+/// every weighted gain and total in this module goes through it (or
+/// [`weigh_breakdown`]), so the oracle path and the probe path cannot
 /// diverge.
-fn weighted_mass(v: &[usize], weights: &[usize]) -> usize {
-    v.iter().zip(weights).map(|(&g, &w)| g * w).sum()
+fn weighted_mass(counts: impl IntoIterator<Item = (usize, usize)>, weights: &[usize]) -> usize {
+    counts.into_iter().map(|(t, c)| c * weights[t]).sum()
 }
 
-/// Elementwise `w_t · v_t` (the per-target decomposition of
-/// [`weighted_mass`]).
-fn weighted_components(v: &[usize], weights: &[usize]) -> Vec<usize> {
-    v.iter().zip(weights).map(|(&g, &w)| g * w).collect()
+/// Scales a raw breakdown to weighted units in place, dropping targets of
+/// weight 0 so the result keeps the sparse contract (nonzero only).
+fn weigh_breakdown(breakdown: &mut Vec<(usize, usize)>, weights: &[usize]) {
+    breakdown.retain_mut(|(t, c)| {
+        *c *= weights[*t];
+        *c > 0
+    });
 }
 
 /// Borrowing probe: index gains are pure reads, so workers share the
-/// index and the weight vector with no scratch state.
+/// index and the weight vector; a worker owns only its breakdown buffer.
 struct WeightedProbe<'a> {
     index: &'a PartitionedCoverageIndex,
     weights: &'a [usize],
+    breakdown: Vec<(usize, usize)>,
 }
 
 impl GainProbe for WeightedProbe<'_> {
     fn delta(&mut self, p: Edge) -> usize {
-        weighted_mass(&self.index.gain_vector(p), self.weights)
+        self.index.gain_breakdown(p, &mut self.breakdown);
+        weighted_mass(self.breakdown.iter().copied(), self.weights)
     }
 
-    fn delta_vector(&mut self, p: Edge) -> Vec<usize> {
-        weighted_components(&self.index.gain_vector(p), self.weights)
+    fn delta_breakdown(&mut self, p: Edge) -> &[(usize, usize)] {
+        self.index.gain_breakdown(p, &mut self.breakdown);
+        weigh_breakdown(&mut self.breakdown, self.weights);
+        &self.breakdown
     }
 }
 
 impl GainOracle for WeightedIndexOracle {
     fn total_similarity(&self) -> usize {
-        weighted_mass(self.inner.index().similarities(), &self.weights)
+        let similarities = self.inner.index().similarities();
+        weighted_mass(similarities.iter().copied().enumerate(), &self.weights)
     }
 
     fn target_similarity(&self, target_idx: usize) -> usize {
@@ -211,11 +224,14 @@ impl GainOracle for WeightedIndexOracle {
     }
 
     fn gain(&mut self, p: Edge) -> usize {
-        weighted_mass(&self.inner.index().gain_vector(p), &self.weights)
+        self.inner.index().gain_breakdown(p, &mut self.breakdown);
+        weighted_mass(self.breakdown.iter().copied(), &self.weights)
     }
 
-    fn gain_vector(&mut self, p: Edge) -> Vec<usize> {
-        weighted_components(&self.inner.index().gain_vector(p), &self.weights)
+    fn gain_breakdown(&mut self, p: Edge) -> &[(usize, usize)] {
+        self.inner.index().gain_breakdown(p, &mut self.breakdown);
+        weigh_breakdown(&mut self.breakdown, &self.weights);
+        &self.breakdown
     }
 
     fn candidates(&self, policy: CandidatePolicy) -> Vec<Edge> {
@@ -223,18 +239,22 @@ impl GainOracle for WeightedIndexOracle {
     }
 
     fn commit(&mut self, p: Edge) -> usize {
-        // The weighted break is the pre-commit weighted gain vector; the
-        // raw commit realizes exactly that vector.
-        let v = self.inner.index().gain_vector(p);
-        let weighted = weighted_mass(&v, &self.weights);
+        // The weighted break is the pre-commit weighted gain; the raw
+        // commit realizes exactly the pre-commit breakdown.
+        self.inner.index().gain_breakdown(p, &mut self.breakdown);
+        let weighted = weighted_mass(self.breakdown.iter().copied(), &self.weights);
         let raw = self.inner.commit(p);
-        debug_assert_eq!(raw, v.iter().sum::<usize>(), "index gain must realize");
+        debug_assert_eq!(
+            raw,
+            self.breakdown.iter().map(|&(_, c)| c).sum::<usize>(),
+            "index gain must realize"
+        );
         weighted
     }
 
     // commit_batch: the default sequential loop is exact here — batch
     // admission requires pairwise-disjoint gain sets, and disjoint sets
-    // keep every per-edge weighted vector unchanged under the preceding
+    // keep every per-edge weighted breakdown unchanged under the preceding
     // commits of the same batch.
 
     fn gain_set(&mut self, p: Edge) -> Option<Vec<InstanceId>> {
@@ -253,6 +273,7 @@ impl GainOracle for WeightedIndexOracle {
         Box::new(WeightedProbe {
             index: self.inner.index(),
             weights: &self.weights,
+            breakdown: Vec::new(),
         })
     }
 

@@ -42,17 +42,26 @@ pub trait GainOracle {
     /// `Δ_p`: total instances a deletion of `p` would break right now.
     fn gain(&mut self, p: Edge) -> usize;
     /// `(own, cross)` split of `Δ_p` relative to `target_idx`. The
-    /// default derives it from [`GainOracle::gain_vector`]; oracles with a
-    /// cheaper direct path (the coverage index) override it.
+    /// default derives it from [`GainOracle::gain_breakdown`]; oracles with
+    /// a cheaper direct path (the coverage index) override it.
     fn gain_split(&mut self, p: Edge, target_idx: usize) -> (usize, usize) {
-        let v = self.gain_vector(p);
-        let own = v[target_idx];
-        let cross = v.iter().sum::<usize>() - own;
-        (own, cross)
+        let breakdown = self.gain_breakdown(p);
+        let total: usize = breakdown.iter().map(|&(_, broken)| broken).sum();
+        let own = breakdown
+            .binary_search_by_key(&target_idx, |&(t, _)| t)
+            .map_or(0, |i| breakdown[i].1);
+        (own, total - own)
     }
-    /// Per-target broken-instance counts for deleting `p` (one entry per
-    /// target). `gain(p) = gain_vector(p).sum()`.
-    fn gain_vector(&mut self, p: Edge) -> Vec<usize>;
+    /// Sparse per-target breakdown of `Δ_p`: one `(target, broken)` pair
+    /// for every target that deleting `p` would cost at least one
+    /// instance, **ascending by target, nonzero counts only** — targets
+    /// `p` leaves untouched are absent. `gain(p)` is the sum of the counts.
+    ///
+    /// The slice borrows the oracle's own scratch buffer (valid until the
+    /// next call), so a scan allocates nothing per candidate. The index
+    /// oracle walks `p`'s posting list: `O(instances through p)`, not
+    /// `O(|T|)`.
+    fn gain_breakdown(&mut self, p: Edge) -> &[(usize, usize)];
     /// Candidate protector edges under `policy`, sorted canonically.
     fn candidates(&self, policy: CandidatePolicy) -> Vec<Edge>;
     /// Permanently deletes `p`; returns the realized gain.
@@ -114,12 +123,15 @@ pub trait GainOracle {
 /// sequential scans run on the oracle directly with zero setup; parallel
 /// scans give each worker thread a private probe instead. Method names use
 /// the paper's `Δ` notation to stay distinct from the oracle's own
-/// `gain`/`gain_vector`.
+/// `gain`/`gain_breakdown`.
 pub trait GainProbe {
     /// `Δ_p` under the probe's scratch state.
     fn delta(&mut self, p: Edge) -> usize;
-    /// Per-target broken-instance counts for deleting `p`.
-    fn delta_vector(&mut self, p: Edge) -> Vec<usize>;
+    /// Sparse per-target breakdown of `Δ_p`, under the same contract as
+    /// [`GainOracle::gain_breakdown`]: `(target, broken)` pairs ascending
+    /// by target, nonzero counts only, borrowed from the probe's own
+    /// scratch buffer until the next call.
+    fn delta_breakdown(&mut self, p: Edge) -> &[(usize, usize)];
 }
 
 impl<O: GainOracle> GainProbe for O {
@@ -127,15 +139,16 @@ impl<O: GainOracle> GainProbe for O {
         GainOracle::gain(self, p)
     }
 
-    fn delta_vector(&mut self, p: Edge) -> Vec<usize> {
-        GainOracle::gain_vector(self, p)
+    fn delta_breakdown(&mut self, p: Edge) -> &[(usize, usize)] {
+        GainOracle::gain_breakdown(self, p)
     }
 }
 
 /// Borrowing probe over a shared [`PartitionedCoverageIndex`]: index gains
-/// are pure reads, so workers need no scratch state at all.
+/// are pure reads, so a worker's only state is its breakdown buffer.
 struct IndexProbe<'a> {
     index: &'a PartitionedCoverageIndex,
+    breakdown: Vec<(usize, usize)>,
 }
 
 impl GainProbe for IndexProbe<'_> {
@@ -143,8 +156,9 @@ impl GainProbe for IndexProbe<'_> {
         self.index.gain(p)
     }
 
-    fn delta_vector(&mut self, p: Edge) -> Vec<usize> {
-        self.index.gain_vector(p)
+    fn delta_breakdown(&mut self, p: Edge) -> &[(usize, usize)] {
+        self.index.gain_breakdown(p, &mut self.breakdown);
+        &self.breakdown
     }
 }
 
@@ -161,6 +175,8 @@ pub const DEFAULT_INDEX_PARTITIONS: usize = 8;
 pub struct IndexOracle {
     index: PartitionedCoverageIndex,
     graph: Graph,
+    /// Scratch behind [`GainOracle::gain_breakdown`].
+    breakdown: Vec<(usize, usize)>,
 }
 
 impl IndexOracle {
@@ -198,10 +214,10 @@ impl IndexOracle {
         parts: usize,
         exec: &Parallelism,
     ) -> Self {
-        IndexOracle {
-            index: PartitionedCoverageIndex::build_parallel(released, targets, motif, parts, exec),
-            graph: released.clone(),
-        }
+        Self::from_prebuilt(
+            PartitionedCoverageIndex::build_parallel(released, targets, motif, parts, exec),
+            released,
+        )
     }
 
     /// Wraps an already-built index (a warm clone from a serve registry)
@@ -213,6 +229,7 @@ impl IndexOracle {
         IndexOracle {
             index,
             graph: released.clone(),
+            breakdown: Vec::new(),
         }
     }
 
@@ -247,8 +264,9 @@ impl GainOracle for IndexOracle {
         self.index.gain_split(p, target_idx)
     }
 
-    fn gain_vector(&mut self, p: Edge) -> Vec<usize> {
-        self.index.gain_vector(p)
+    fn gain_breakdown(&mut self, p: Edge) -> &[(usize, usize)] {
+        self.index.gain_breakdown(p, &mut self.breakdown);
+        &self.breakdown
     }
 
     fn candidates(&self, policy: CandidatePolicy) -> Vec<Edge> {
@@ -288,7 +306,10 @@ impl GainOracle for IndexOracle {
     }
 
     fn probe(&self) -> Box<dyn GainProbe + '_> {
-        Box::new(IndexProbe { index: &self.index })
+        Box::new(IndexProbe {
+            index: &self.index,
+            breakdown: Vec::new(),
+        })
     }
 
     fn candidate_weight(&self, p: Edge) -> usize {
@@ -306,6 +327,8 @@ pub struct NaiveOracle {
     graph: Graph,
     targets: Vec<Edge>,
     motif: Motif,
+    /// Scratch behind [`GainOracle::gain_breakdown`].
+    breakdown: Vec<(usize, usize)>,
 }
 
 impl NaiveOracle {
@@ -316,6 +339,7 @@ impl NaiveOracle {
             graph: released.clone(),
             targets: targets.to_vec(),
             motif,
+            breakdown: Vec::new(),
         }
     }
 
@@ -354,19 +378,19 @@ impl GainOracle for NaiveOracle {
         before - after
     }
 
-    fn gain_vector(&mut self, p: Edge) -> Vec<usize> {
+    fn gain_breakdown(&mut self, p: Edge) -> &[(usize, usize)] {
+        self.breakdown.clear();
         if !self.graph.contains(p) {
-            return vec![0; self.targets.len()];
+            return &self.breakdown;
         }
-        let before: Vec<usize> = (0..self.targets.len())
-            .map(|i| self.similarity_of(i))
-            .collect();
+        // The recount is this oracle's cost model; the sparse form only
+        // filters its dense result.
+        let before = count_each(&self.graph, &self.targets, self.motif);
         self.graph.remove_edge(p.u(), p.v());
-        let after: Vec<usize> = (0..self.targets.len())
-            .map(|i| self.similarity_of(i))
-            .collect();
+        let after = count_each(&self.graph, &self.targets, self.motif);
         self.graph.add_edge(p.u(), p.v());
-        before.iter().zip(&after).map(|(b, a)| b - a).collect()
+        push_nonzero_differences(&mut self.breakdown, &before, &after);
+        &self.breakdown
     }
 
     fn candidates(&self, policy: CandidatePolicy) -> Vec<Edge> {
@@ -415,11 +439,13 @@ pub struct SnapshotOracle<'a, B: NeighborAccess> {
     targets: Vec<Edge>,
     motif: Motif,
     /// Per-target similarities under the current committed overlay —
-    /// invariant between commits, so `gain`/`gain_vector` cost one
+    /// invariant between commits, so `gain`/`gain_breakdown` cost one
     /// tentative recount instead of two.
     current_per_target: Vec<usize>,
     /// Sum of `current_per_target` (the total similarity).
     current_total: usize,
+    /// Scratch behind [`GainOracle::gain_breakdown`].
+    breakdown: Vec<(usize, usize)>,
 }
 
 // Cloning shares the immutable base and copies only the (small) committed
@@ -432,6 +458,7 @@ impl<B: NeighborAccess> Clone for SnapshotOracle<'_, B> {
             motif: self.motif,
             current_per_target: self.current_per_target.clone(),
             current_total: self.current_total,
+            breakdown: Vec::new(),
         }
     }
 }
@@ -449,6 +476,7 @@ impl<'a, B: NeighborAccess> SnapshotOracle<'a, B> {
             motif,
             current_per_target,
             current_total,
+            breakdown: Vec::new(),
         }
     }
 
@@ -464,6 +492,19 @@ fn count_each<G: NeighborAccess>(g: &G, targets: &[Edge], motif: Motif) -> Vec<u
         .iter()
         .map(|t| count_target_subgraphs(g, t.u(), t.v(), motif))
         .collect()
+}
+
+/// Appends `(t, before[t] - after[t])` for every target whose count fell:
+/// a dense recount filtered into the sparse breakdown form.
+fn push_nonzero_differences(out: &mut Vec<(usize, usize)>, before: &[usize], after: &[usize]) {
+    out.extend(
+        before
+            .iter()
+            .zip(after)
+            .enumerate()
+            .filter(|(_, (b, a))| b > a)
+            .map(|(t, (b, a))| (t, b - a)),
+    );
 }
 
 /// Re-enumerates the Lemma 5 restricted candidate set (edges of alive
@@ -503,19 +544,17 @@ impl<B: NeighborAccess> GainOracle for SnapshotOracle<'_, B> {
         self.current_total - after
     }
 
-    fn gain_vector(&mut self, p: Edge) -> Vec<usize> {
+    fn gain_breakdown(&mut self, p: Edge) -> &[(usize, usize)] {
+        self.breakdown.clear();
         if !self.view.delete_edge(p) {
-            return vec![0; self.targets.len()];
+            return &self.breakdown;
         }
         // One tentative pass per target; "before" is the cached committed
         // state, invariant between commits.
         let after = count_each(&self.view, &self.targets, self.motif);
         self.view.restore_edge(p);
-        self.current_per_target
-            .iter()
-            .zip(&after)
-            .map(|(&b, &a)| b - a)
-            .collect()
+        push_nonzero_differences(&mut self.breakdown, &self.current_per_target, &after);
+        &self.breakdown
     }
 
     fn candidates(&self, policy: CandidatePolicy) -> Vec<Edge> {
@@ -642,8 +681,8 @@ impl GainOracle for AnyOracle<'_> {
         any_oracle_delegate!(self, o => o.gain_split(p, target_idx))
     }
 
-    fn gain_vector(&mut self, p: Edge) -> Vec<usize> {
-        any_oracle_delegate!(self, o => GainOracle::gain_vector(o, p))
+    fn gain_breakdown(&mut self, p: Edge) -> &[(usize, usize)] {
+        any_oracle_delegate!(self, o => GainOracle::gain_breakdown(o, p))
     }
 
     fn candidates(&self, policy: CandidatePolicy) -> Vec<Edge> {
@@ -708,8 +747,12 @@ mod tests {
             assert_eq!(cands, naive.candidates(CandidatePolicy::SubgraphEdges));
             for &p in cands.iter().take(12) {
                 assert_eq!(idx.gain(p), naive.gain(p), "{motif} gain({p})");
-                assert_eq!(idx.gain_vector(p), naive.gain_vector(p));
-                assert_eq!(idx.gain_vector(p).iter().sum::<usize>(), idx.gain(p));
+                let breakdown = idx.gain_breakdown(p).to_vec();
+                assert_eq!(breakdown, naive.gain_breakdown(p));
+                assert_eq!(
+                    breakdown.iter().map(|&(_, broken)| broken).sum::<usize>(),
+                    idx.gain(p)
+                );
                 for t in 0..targets.len() {
                     assert_eq!(
                         idx.gain_split(p, t),
@@ -783,7 +826,7 @@ mod tests {
             for &p in cands.iter().take(10) {
                 assert_eq!(idx.gain(p), snap_graph.gain(p), "{motif} gain({p})");
                 assert_eq!(idx.gain(p), snap_csr.gain(p), "{motif} csr gain({p})");
-                assert_eq!(idx.gain_vector(p), snap_csr.gain_vector(p));
+                assert_eq!(idx.gain_breakdown(p).to_vec(), snap_csr.gain_breakdown(p));
                 for t in 0..targets.len() {
                     assert_eq!(idx.gain_split(p, t), snap_csr.gain_split(p, t));
                 }
@@ -811,7 +854,7 @@ mod tests {
             .find(|e| !csr.has_edge(e.u(), e.v()))
             .expect("a 24-node graph with p = 0.25 always has non-edges");
         assert_eq!(snap.gain(absent), 0);
-        assert_eq!(snap.gain_vector(absent), vec![0; targets.len()]);
+        assert!(snap.gain_breakdown(absent).is_empty());
         assert_eq!(snap.commit(absent), 0);
     }
 
@@ -820,5 +863,6 @@ mod tests {
         let (_, _, _, mut naive) = fixture(Motif::Triangle);
         assert_eq!(naive.gain(Edge::new(0, 1)), 0, "target edge absent");
         assert_eq!(naive.gain_split(Edge::new(0, 1), 0), (0, 0));
+        assert!(naive.gain_breakdown(Edge::new(0, 1)).is_empty());
     }
 }

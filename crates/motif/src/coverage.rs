@@ -81,23 +81,56 @@ pub(crate) fn posting_gain_split(
     (own, cross)
 }
 
-/// Per-target alive counts of one posting (the gain-vector kernel shared
-/// by both index flavors).
-pub(crate) fn posting_gain_vector(
+/// Alive instances a posting can hold before [`posting_breakdown`] spills
+/// its target-id buffer from the stack to the heap. Posting lists past
+/// this length are rare hub edges, where one allocation is noise next to
+/// the walk itself.
+const BREAKDOWN_STACK: usize = 32;
+
+/// Sparse per-target alive counts of one posting: `out` is cleared and
+/// refilled with one `(target, broken)` pair per target owning at least
+/// one alive instance of the posting, ascending by target — the breakdown
+/// kernel shared by both index flavors.
+///
+/// Cost is `O(a log a)` for the posting's `a` alive instances, independent
+/// of the target count. Ids are posted in creation order, and
+/// `insert_edge` appends instances out of target order, so the target ids
+/// are gathered into a buffer (on the stack up to [`BREAKDOWN_STACK`]),
+/// sorted, and run-length encoded.
+pub(crate) fn posting_breakdown(
     posting: Option<&Posting>,
     alive: &[bool],
     instances: &[MotifInstance],
-    targets_len: usize,
-) -> Vec<usize> {
-    let mut v = vec![0usize; targets_len];
-    if let Some(po) = posting {
-        for &id in &po.ids {
-            if alive[id as usize] {
-                v[instances[id as usize].target_idx] += 1;
-            }
+    out: &mut Vec<(usize, usize)>,
+) {
+    out.clear();
+    let Some(po) = posting else {
+        return;
+    };
+    let len = po.alive as usize;
+    let mut stack = [0usize; BREAKDOWN_STACK];
+    let mut heap = Vec::new();
+    let buf: &mut [usize] = if len <= BREAKDOWN_STACK {
+        &mut stack[..len]
+    } else {
+        heap.resize(len, 0);
+        &mut heap
+    };
+    let mut filled = 0;
+    for &id in &po.ids {
+        if alive[id as usize] {
+            buf[filled] = instances[id as usize].target_idx;
+            filled += 1;
         }
     }
-    v
+    debug_assert_eq!(filled, len, "posting alive count out of sync");
+    buf.sort_unstable();
+    for &t in buf.iter() {
+        match out.last_mut() {
+            Some((last, broken)) if *last == t => *broken += 1,
+            _ => out.push((t, 1)),
+        }
+    }
 }
 
 /// Walks every posting of `postings`, asserts its maintained alive count
@@ -253,16 +286,12 @@ impl CoverageIndex {
         )
     }
 
-    /// Per-target gain vector: entry `t` counts the alive instances of
-    /// target `t` containing `p`. One pass over `p`'s instance list.
-    #[must_use]
-    pub fn gain_vector(&self, p: Edge) -> Vec<usize> {
-        posting_gain_vector(
-            self.postings.get(&p),
-            &self.alive,
-            &self.instances,
-            self.targets.len(),
-        )
+    /// Sparse per-target breakdown of `Δ_p`: `out` is refilled with one
+    /// `(target, broken)` pair per target that deleting `p` would cost at
+    /// least one alive instance, ascending by target. The counts sum to
+    /// [`gain`](Self::gain). One pass over `p`'s instance list.
+    pub fn gain_breakdown(&self, p: Edge, out: &mut Vec<(usize, usize)>) {
+        posting_breakdown(self.postings.get(&p), &self.alive, &self.instances, out);
     }
 
     /// Deletes edge `p`, killing every alive instance containing it.

@@ -113,7 +113,7 @@ impl IndexShard {
 /// across degree-balanced node-range shards, with shard-parallel commits.
 ///
 /// Scans read it exactly like the monolithic index (`gain` is an `O(1)`
-/// count lookup, `gain_vector`/`gain_split` walk one posting list);
+/// count lookup, `gain_breakdown`/`gain_split` walk one posting list);
 /// [`delete_edge`](Self::delete_edge) and the batch
 /// [`delete_edges`](Self::delete_edges) update only the dirty shards.
 #[derive(Debug, Clone)]
@@ -469,15 +469,19 @@ impl PartitionedCoverageIndex {
         )
     }
 
-    /// Per-target gain vector for deleting `p`.
-    #[must_use]
-    pub fn gain_vector(&self, p: Edge) -> Vec<usize> {
-        crate::coverage::posting_gain_vector(
+    /// Sparse per-target breakdown of `Δ_p`: `out` is refilled with one
+    /// `(target, broken)` pair per target that deleting `p` would cost at
+    /// least one alive instance, ascending by target, so the counts sum to
+    /// [`gain`](Self::gain). Walks `p`'s one posting list, never the target
+    /// set, and allocates nothing once `out` has grown to the round's
+    /// widest breakdown.
+    pub fn gain_breakdown(&self, p: Edge, out: &mut Vec<(usize, usize)>) {
+        crate::coverage::posting_breakdown(
             self.shards[self.shard_of(p.u())].postings.get(&p),
             &self.alive,
             &self.instances,
-            self.targets.len(),
-        )
+            out,
+        );
     }
 
     /// Ids of the **alive** instances containing `p` — `p`'s current gain
@@ -807,6 +811,13 @@ mod tests {
     use crate::CoverageIndex;
     use tpp_graph::Graph;
 
+    /// `p`'s sparse gain breakdown as an owned list (test readability).
+    fn breakdown(idx: &PartitionedCoverageIndex, p: Edge) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        idx.gain_breakdown(p, &mut out);
+        out
+    }
+
     fn fixture() -> (Graph, Vec<Edge>) {
         let mut g = tpp_graph::generators::holme_kim(80, 4, 0.5, 11);
         let targets = vec![Edge::new(0, 1), Edge::new(2, 5), Edge::new(3, 7)];
@@ -833,7 +844,9 @@ mod tests {
                 );
                 for &p in mono.alive_candidate_edges() {
                     assert_eq!(part.gain(p), mono.gain(p), "{motif} gain({p})");
-                    assert_eq!(part.gain_vector(p), mono.gain_vector(p));
+                    let mut mono_breakdown = Vec::new();
+                    mono.gain_breakdown(p, &mut mono_breakdown);
+                    assert_eq!(breakdown(&part, p), mono_breakdown);
                     assert_eq!(part.gain_split(p, 0), mono.gain_split(p, 0));
                 }
                 part.check_invariants();
@@ -969,7 +982,7 @@ mod tests {
         assert_eq!(idx.alive_candidate_edges(), rebuilt.alive_candidate_edges());
         for p in rebuilt.alive_candidate_edges() {
             assert_eq!(idx.gain(p), rebuilt.gain(p), "gain({p})");
-            assert_eq!(idx.gain_vector(p), rebuilt.gain_vector(p));
+            assert_eq!(breakdown(idx, p), breakdown(rebuilt, p));
         }
         idx.check_invariants();
     }
@@ -994,6 +1007,30 @@ mod tests {
                 assert_matches_rebuild(&idx, &rebuilt);
             }
         }
+    }
+
+    #[test]
+    fn breakdown_is_target_ascending_after_out_of_order_insert() {
+        // Target 1 = (2, 3) owns the triangle 2-0-3 at build time; inserting
+        // (1, 2) then discovers target 0 = (0, 1)'s triangle 0-2-1 under a
+        // later id. The shared edge (0, 2) posts target 1's instance before
+        // target 0's, yet its breakdown must list target 0 first.
+        let targets = [Edge::new(0, 1), Edge::new(2, 3)];
+        let mut g = Graph::from_edges([(0u32, 2u32), (0, 3)]);
+        let mut idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, 2);
+        g.add_edge(1, 2);
+        assert_eq!(idx.insert_edge(&g, Edge::new(1, 2)), 1);
+        let shared = Edge::new(0, 2);
+        let posted: Vec<usize> = idx
+            .alive_instance_ids(shared)
+            .iter()
+            .map(|&id| idx.instances[id as usize].target_idx)
+            .collect();
+        assert_eq!(posted, vec![1, 0], "fixture must post out of target order");
+        assert_eq!(breakdown(&idx, shared), vec![(0, 1), (1, 1)]);
+        assert_eq!(breakdown(&idx, Edge::new(1, 2)), vec![(0, 1)]);
+        assert_eq!(breakdown(&idx, Edge::new(0, 3)), vec![(1, 1)]);
+        assert!(breakdown(&idx, Edge::new(5, 6)).is_empty());
     }
 
     #[test]

@@ -120,9 +120,12 @@ proptest! {
                 g2.remove_edge(p.u(), p.v());
                 let after = total_similarity(&g2, &targets, motif);
                 prop_assert_eq!(index.gain(p), before - after);
-                // gain vector consistency
-                let v = index.gain_vector(p);
-                prop_assert_eq!(v.iter().sum::<usize>(), index.gain(p));
+                // breakdown consistency: ascending, nonzero, summing to Δ_p
+                let mut b = Vec::new();
+                index.gain_breakdown(p, &mut b);
+                prop_assert!(b.windows(2).all(|w| w[0].0 < w[1].0));
+                prop_assert!(b.iter().all(|&(_, c)| c > 0));
+                prop_assert_eq!(b.iter().map(|&(_, c)| c).sum::<usize>(), index.gain(p));
             }
         }
     }
@@ -207,7 +210,10 @@ proptest! {
                         parallel.all_candidate_edges(), sequential.all_candidate_edges());
                     for p in sequential.alive_candidate_edges() {
                         prop_assert_eq!(parallel.gain(p), sequential.gain(p));
-                        prop_assert_eq!(parallel.gain_vector(p), sequential.gain_vector(p));
+                        let (mut pb, mut sb) = (Vec::new(), Vec::new());
+                        parallel.gain_breakdown(p, &mut pb);
+                        sequential.gain_breakdown(p, &mut sb);
+                        prop_assert_eq!(pb, sb);
                         // Id-level posting equality, order included.
                         prop_assert_eq!(
                             parallel.alive_instance_ids(p),
@@ -302,6 +308,71 @@ proptest! {
                             "{} x{} t{} gain({}) stale", motif, parts, threads, p);
                     }
                     idx.check_invariants();
+                }
+            }
+        }
+    }
+
+    /// The sparse gain breakdown equals the nonzero entries of a naive
+    /// per-instance count (every alive instance containing `p`, tallied by
+    /// target) — at build time, and after interleaved insertions and
+    /// deletions. Insertions append newly discovered instances with fresh
+    /// ids whatever their target, so a posting's ids stop running in
+    /// target order; the breakdown must still come out ascending by
+    /// target.
+    #[test]
+    fn gain_breakdown_equals_naive_per_instance_count(
+        (g, targets) in instance_strategy(),
+        order in 0usize..1000,
+    ) {
+        fn naive(idx: &PartitionedCoverageIndex, p: Edge) -> Vec<(usize, usize)> {
+            let mut dense = vec![0usize; idx.targets().len()];
+            for inst in idx.alive_instances().filter(|inst| inst.contains(p)) {
+                dense[inst.target_idx] += 1;
+            }
+            dense.into_iter().enumerate().filter(|&(_, c)| c > 0).collect()
+        }
+        for motif in MOTIFS {
+            let n = g.node_count() as u32;
+            // Insertions incident to target endpoints first: those are the
+            // ones that discover instances of several targets.
+            let endpoints: Vec<u32> = targets.iter().flat_map(|t| [t.u(), t.v()]).collect();
+            let mut non_edges: Vec<Edge> = (0..n)
+                .flat_map(|u| ((u + 1)..n).map(move |v| Edge::new(u, v)))
+                .filter(|e| !g.contains(*e) && !targets.contains(e))
+                .collect();
+            non_edges.sort_by_key(|e| !(endpoints.contains(&e.u()) || endpoints.contains(&e.v())));
+            non_edges.truncate(4);
+            let mut edges = g.edge_vec();
+            if edges.is_empty() { continue; }
+            let rot = order % edges.len();
+            edges.rotate_left(rot);
+
+            let mut idx = PartitionedCoverageIndex::build(&g, &targets, motif, 3);
+            let mut live = g.clone();
+            let mut ops: Vec<(bool, Edge)> = non_edges.iter().map(|&e| (true, e)).collect();
+            ops.extend(edges.iter().take(3).map(|&e| (false, e)));
+            let rot = order % ops.len();
+            ops.rotate_left(rot);
+            let mut out = Vec::new();
+            for (is_insert, e) in ops {
+                if is_insert {
+                    live.add_edge(e.u(), e.v());
+                    idx.insert_edge(&live, e);
+                } else {
+                    live.remove_edge(e.u(), e.v());
+                    idx.delete_edge(e);
+                }
+                // Every posted edge, alive or not, plus edges never posted.
+                let mut probes = idx.all_candidate_edges();
+                probes.extend(edges.iter().take(2));
+                probes.push(Edge::new(n + 1, n + 2));
+                for p in probes {
+                    idx.gain_breakdown(p, &mut out);
+                    prop_assert_eq!(&out, &naive(&idx, p),
+                        "{} breakdown({}) after {} of {}", motif, p,
+                        if is_insert { "insert" } else { "delete" }, e);
+                    prop_assert_eq!(out.iter().map(|&(_, c)| c).sum::<usize>(), idx.gain(p));
                 }
             }
         }
