@@ -19,11 +19,10 @@ pub fn random_deletion(
     motif: Motif,
     seed: u64,
 ) -> ProtectionPlan {
-    let mut pool = instance.released().edge_vec();
-    let mut rng = StdRng::seed_from_u64(seed);
-    pool.shuffle(&mut rng);
-    pool.truncate(k);
-    apply_fixed_deletions(instance, motif, pool, AlgorithmKind::RandomDeletion)
+    let oracle = IndexOracle::new(instance.released(), instance.targets(), motif);
+    let pool = instance.released().edge_vec();
+    let deletions = sample(pool, k, seed);
+    apply_fixed_deletions(oracle, deletions, AlgorithmKind::RandomDeletion)
 }
 
 /// RDT: deletes `k` links drawn uniformly at random from the edges that
@@ -37,24 +36,28 @@ pub fn random_deletion_from_subgraphs(
     motif: Motif,
     seed: u64,
 ) -> ProtectionPlan {
-    let index = instance.build_index(motif);
-    let mut pool = index.all_candidate_edges();
+    let oracle = IndexOracle::new(instance.released(), instance.targets(), motif);
+    let pool = oracle.index().all_candidate_edges();
+    let deletions = sample(pool, k, seed);
+    apply_fixed_deletions(oracle, deletions, AlgorithmKind::RandomFromSubgraphs)
+}
+
+/// The first `k` edges of a seeded shuffle of the sorted `pool`.
+fn sample(mut pool: Vec<Edge>, k: usize, seed: u64) -> Vec<Edge> {
     let mut rng = StdRng::seed_from_u64(seed);
     pool.shuffle(&mut rng);
     pool.truncate(k);
-    apply_fixed_deletions(instance, motif, pool, AlgorithmKind::RandomFromSubgraphs)
+    pool
 }
 
 /// Deletes a predetermined edge list, recording the similarity trajectory
 /// through the coverage index (the baselines never *compute* gains — they
 /// only pay for deletions — so measured running time stays baseline-cheap).
 fn apply_fixed_deletions(
-    instance: &TppInstance,
-    motif: Motif,
+    mut oracle: IndexOracle,
     deletions: Vec<Edge>,
     algorithm: AlgorithmKind,
 ) -> ProtectionPlan {
-    let mut oracle = IndexOracle::new(instance.released(), instance.targets(), motif);
     let initial = oracle.total_similarity();
     let mut steps = Vec::with_capacity(deletions.len());
     for (round, &p) in deletions.iter().enumerate() {

@@ -188,28 +188,9 @@ impl ScanTuner {
 /// therefore **identical to a sequential left-to-right scan** for every
 /// thread count and every claim interleaving — the property all the
 /// engine's determinism guarantees rest on.
-pub fn sharded_argmax<T, C, S, M, E, B>(
-    items: &[T],
-    exec: &Parallelism,
-    weights: Option<&[usize]>,
-    make_ctx: M,
-    eval: E,
-    better: B,
-) -> Option<(S, T)>
-where
-    T: Copy + Send + Sync,
-    S: Send,
-    M: Fn() -> C + Sync,
-    E: Fn(&mut C, T) -> Option<S> + Sync,
-    B: Fn(&S, &S) -> bool + Sync,
-{
-    let spans = exec.threads() * STEAL_SPANS_PER_WORKER;
-    sharded_argmax_spans(items, exec, spans, weights, make_ctx, eval, better)
-}
-
-/// [`sharded_argmax`] with an explicit span count (e.g. from a
-/// [`ScanTuner`]); the span plan is pure scheduling — the returned
-/// maximizer is identical for every value.
+///
+/// `span_count` (e.g. from a [`ScanTuner`]) is pure scheduling: the
+/// returned maximizer is identical for every value.
 pub fn sharded_argmax_spans<T, C, S, M, E, B>(
     items: &[T],
     exec: &Parallelism,
@@ -263,27 +244,9 @@ where
 }
 
 /// Maps `eval` over `items` with the same per-worker-context,
-/// work-stealing span claiming as [`sharded_argmax`]; results come back in
-/// item order regardless of thread count or claim interleaving.
-pub fn sharded_map<T, C, R, M, E>(
-    items: &[T],
-    exec: &Parallelism,
-    weights: Option<&[usize]>,
-    make_ctx: M,
-    eval: E,
-) -> Vec<R>
-where
-    T: Copy + Send + Sync,
-    R: Send,
-    M: Fn() -> C + Sync,
-    E: Fn(&mut C, T) -> R + Sync,
-{
-    let spans = exec.threads() * STEAL_SPANS_PER_WORKER;
-    sharded_map_spans(items, exec, spans, weights, make_ctx, eval)
-}
-
-/// [`sharded_map`] with an explicit span count (e.g. from a [`ScanTuner`]);
-/// results come back in item order for every span plan.
+/// work-stealing span claiming as [`sharded_argmax_spans`]; results come
+/// back in item order for every span plan, thread count and claim
+/// interleaving.
 pub fn sharded_map_spans<T, C, R, M, E>(
     items: &[T],
     exec: &Parallelism,
@@ -1400,10 +1363,18 @@ mod tests {
         assert_eq!(balanced_ranges(&[5], 4), vec![0..1]);
     }
 
+    /// The span plans a scan over `len` items at `threads` must be
+    /// indifferent to: one span, one per worker, the default four per
+    /// worker, and more spans than items.
+    fn span_plans(threads: usize, len: usize) -> [usize; 4] {
+        [1, threads, 4 * threads, len + 3]
+    }
+
     #[test]
     fn sharded_argmax_matches_sequential_scan_exactly() {
         // Scores with many ties: first maximizer must win at every
-        // thread count, including ones that don't divide the length.
+        // thread count and span plan, including ones that don't divide
+        // the length.
         let items: Vec<Edge> = (0..97u32).map(|i| Edge::new(i, i + 1)).collect();
         let score = |e: &Edge| usize::from(e.u() % 7 == 3);
         let seq =
@@ -1417,29 +1388,25 @@ mod tests {
                         best
                     }
                 });
-        for threads in [1usize, 2, 3, 4, 8, 16] {
-            let exec = Parallelism::new(threads);
-            let got = sharded_argmax(
-                &items,
-                &exec,
-                None,
-                || (),
-                |(), e| Some(score(&e)),
-                |a, b| a > b,
-            );
-            assert_eq!(got, seq, "threads = {threads}");
-        }
         // Weighted splitting must not change the winner either.
         let weights: Vec<usize> = items.iter().map(|e| 1 + e.u() as usize % 5).collect();
-        let got = sharded_argmax(
-            &items,
-            &Parallelism::new(4),
-            Some(&weights),
-            || (),
-            |(), e| Some(score(&e)),
-            |a, b| a > b,
-        );
-        assert_eq!(got, seq);
+        for threads in [1usize, 2, 3, 4, 8, 16] {
+            let exec = Parallelism::new(threads);
+            for spans in span_plans(threads, items.len()) {
+                for w in [None, Some(weights.as_slice())] {
+                    let got = sharded_argmax_spans(
+                        &items,
+                        &exec,
+                        spans,
+                        w,
+                        || (),
+                        |(), e| Some(score(&e)),
+                        |a, b| a > b,
+                    );
+                    assert_eq!(got, seq, "threads = {threads}, spans = {spans}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1448,8 +1415,11 @@ mod tests {
         let expect: Vec<u32> = items.iter().map(|e| e.u() * 2).collect();
         for threads in [1usize, 2, 5, 16] {
             let exec = Parallelism::new(threads);
-            let got = sharded_map(&items, &exec, None, || (), |(), e: Edge| e.u() * 2);
-            assert_eq!(got, expect, "threads = {threads}");
+            for spans in span_plans(threads, items.len()) {
+                let got =
+                    sharded_map_spans(&items, &exec, spans, None, || (), |(), e: Edge| e.u() * 2);
+                assert_eq!(got, expect, "threads = {threads}, spans = {spans}");
+            }
         }
     }
 
@@ -1457,25 +1427,29 @@ mod tests {
     fn sharded_argmax_skips_none_scores() {
         let items: Vec<Edge> = (0..10u32).map(|i| Edge::new(i, i + 1)).collect();
         let exec = Parallelism::new(3);
-        let none_at_all = sharded_argmax(
-            &items,
-            &exec,
-            None,
-            || (),
-            |(), _| None::<usize>,
-            |a, b| a > b,
-        );
-        assert_eq!(none_at_all, None);
-        assert_eq!(
-            sharded_argmax::<Edge, (), usize, _, _, _>(
-                &[],
+        for spans in span_plans(exec.threads(), items.len()) {
+            let none_at_all = sharded_argmax_spans(
+                &items,
                 &exec,
+                spans,
                 None,
                 || (),
-                |(), _| Some(1),
-                |a, b| a > b
-            ),
-            None
-        );
+                |(), _| None::<usize>,
+                |a, b| a > b,
+            );
+            assert_eq!(none_at_all, None, "spans = {spans}");
+            assert_eq!(
+                sharded_argmax_spans::<Edge, (), usize, _, _, _>(
+                    &[],
+                    &exec,
+                    spans,
+                    None,
+                    || (),
+                    |(), _| Some(1),
+                    |a, b| a > b
+                ),
+                None
+            );
+        }
     }
 }

@@ -149,9 +149,10 @@ pub fn backfire_rate_parallel(
         .map(|i| (i * chunk, ((i + 1) * chunk).min(trials)))
         .filter(|&(lo, hi)| lo < hi)
         .collect();
-    let counts: Vec<u64> = crate::engine::sharded_map(
+    let counts: Vec<u64> = crate::engine::sharded_map_spans(
         &ranges,
         &exec,
+        ranges.len(),
         None,
         || (),
         |(), (lo, hi)| {

@@ -1,11 +1,12 @@
 //! The TPP problem instance: a social graph plus its sensitive target links.
 
 use crate::error::TppError;
+use crate::oracle::DEFAULT_INDEX_PARTITIONS;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use tpp_graph::{Edge, FastSet, Graph};
-use tpp_motif::{CoverageIndex, Motif};
+use tpp_motif::{Motif, PartitionedCoverageIndex};
 
 /// A Target Privacy Preserving instance.
 ///
@@ -106,10 +107,13 @@ impl TppInstance {
         self.targets.len()
     }
 
-    /// Builds the motif coverage index on the released graph.
+    /// Builds the motif coverage index on the released graph, with
+    /// [`DEFAULT_INDEX_PARTITIONS`] partitions (queries are identical for
+    /// every part count).
     #[must_use]
-    pub fn build_index(&self, motif: Motif) -> CoverageIndex {
-        CoverageIndex::build(&self.released, &self.targets, motif)
+    pub fn build_index(&self, motif: Motif) -> PartitionedCoverageIndex {
+        let parts = DEFAULT_INDEX_PARTITIONS;
+        PartitionedCoverageIndex::build(&self.released, &self.targets, motif, parts)
     }
 
     /// Initial total similarity `s(∅, T)` for a motif.

@@ -2,13 +2,13 @@
 //! → motif-instance postings split across degree-balanced node-range
 //! partitions, so **commits scale like scans do**.
 //!
-//! The monolithic [`CoverageIndex`](crate::CoverageIndex) keeps one posting
-//! map and one alive-candidate list; every deletion that retires candidates
-//! pays a compaction pass over the *whole* list. Here the postings and the
-//! candidate list are partitioned by the owning shard of each edge (the
-//! shard whose node range contains the edge's lower endpoint — the same
-//! ownership discipline as `tpp_store::CsrShard::owns_edge`, over the same
-//! degree-balanced boundaries as `tpp_store::CsrGraph::shard_ranges`).
+//! One posting map and one alive-candidate list would make every deletion
+//! that retires candidates pay a compaction pass over the *whole* list.
+//! Here the postings and the candidate list are partitioned by the owning
+//! shard of each edge (the shard whose node range contains the edge's lower
+//! endpoint — the same ownership discipline as
+//! `tpp_store::CsrShard::owns_edge`, over the same degree-balanced
+//! boundaries as `tpp_store::CsrGraph::shard_ranges`).
 //! A deletion therefore touches only the shards that actually contain edges
 //! of the broken instances, and the per-shard updates are independent: with
 //! a parallel [`Parallelism`] handle they run concurrently on the shared
@@ -19,13 +19,11 @@
 //! update sets are disjoint by construction, and aggregate counts reduce in
 //! shard order.
 
-use crate::coverage::{build_postings, enumerate_instances, Posting};
+use crate::coverage::{build_postings, enumerate_instances, InstanceId, Posting};
 use crate::instance::MotifInstance;
 use crate::pattern::Motif;
 use tpp_exec::Parallelism;
 use tpp_graph::{Edge, FastMap, NeighborAccess, NodeId};
-
-pub use crate::coverage::InstanceId;
 
 /// Below this many count decrements a commit applies its shard updates
 /// inline: a handful of hash-map decrements costs tens of nanoseconds,
@@ -109,11 +107,12 @@ impl IndexShard {
     }
 }
 
-/// A [`CoverageIndex`](crate::CoverageIndex) whose postings are partitioned
-/// across degree-balanced node-range shards, with shard-parallel commits.
+/// Incidence index between candidate edges and alive motif instances for a
+/// fixed (graph, target set, motif) triple, with its postings partitioned
+/// across degree-balanced node-range shards and shard-parallel commits.
 ///
-/// Scans read it exactly like the monolithic index (`gain` is an `O(1)`
-/// count lookup, `gain_breakdown`/`gain_split` walk one posting list);
+/// Scans read one posting (`gain` is an `O(1)` count lookup,
+/// `gain_breakdown`/`gain_split` walk one posting list);
 /// [`delete_edge`](Self::delete_edge) and the batch
 /// [`delete_edges`](Self::delete_edges) update only the dirty shards.
 #[derive(Debug, Clone)]
@@ -206,7 +205,7 @@ impl PartitionedCoverageIndex {
     }
 
     /// The **shard-parallel build**: enumerates motif targets directly
-    /// into per-shard postings, with no monolithic posting map built and
+    /// into per-shard postings, with no global posting map built and
     /// split afterwards (what [`build`](Self::build) does).
     ///
     /// Two phases, both dispatched on `exec`'s shared executor pool
@@ -808,7 +807,7 @@ impl PartitionedCoverageIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CoverageIndex;
+    use crate::count_all_targets;
     use tpp_graph::Graph;
 
     /// `p`'s sparse gain breakdown as an owned list (test readability).
@@ -828,26 +827,33 @@ mod tests {
     }
 
     #[test]
-    fn matches_monolithic_index_at_every_part_count() {
+    fn matches_one_part_index_and_recount_at_every_part_count() {
         let (g, targets) = fixture();
         for motif in Motif::ALL {
-            let mono = CoverageIndex::build(&g, &targets, motif);
-            for parts in [1usize, 2, 3, 7] {
+            let one = PartitionedCoverageIndex::build(&g, &targets, motif, 1);
+            let before = count_all_targets(&g, &targets, motif);
+            assert_eq!(one.similarities(), before, "{motif} similarities");
+            let before_total: usize = before.iter().sum();
+            for p in one.alive_candidate_edges() {
+                let mut g2 = g.clone();
+                g2.remove_edge(p.u(), p.v());
+                let after: usize = count_all_targets(&g2, &targets, motif).iter().sum();
+                assert_eq!(one.gain(p), before_total - after, "{motif} gain({p})");
+            }
+            for parts in [2usize, 3, 7] {
                 let part = PartitionedCoverageIndex::build(&g, &targets, motif, parts);
-                assert_eq!(part.total_similarity(), mono.total_similarity());
-                assert_eq!(part.similarities(), mono.similarities());
-                assert_eq!(part.all_candidate_edges(), mono.all_candidate_edges());
+                assert_eq!(part.total_similarity(), one.total_similarity());
+                assert_eq!(part.similarities(), one.similarities());
+                assert_eq!(part.all_candidate_edges(), one.all_candidate_edges());
                 assert_eq!(
                     part.alive_candidate_edges(),
-                    mono.alive_candidate_edges(),
+                    one.alive_candidate_edges(),
                     "{motif} x{parts}"
                 );
-                for &p in mono.alive_candidate_edges() {
-                    assert_eq!(part.gain(p), mono.gain(p), "{motif} gain({p})");
-                    let mut mono_breakdown = Vec::new();
-                    mono.gain_breakdown(p, &mut mono_breakdown);
-                    assert_eq!(breakdown(&part, p), mono_breakdown);
-                    assert_eq!(part.gain_split(p, 0), mono.gain_split(p, 0));
+                for p in one.alive_candidate_edges() {
+                    assert_eq!(part.gain(p), one.gain(p), "{motif} gain({p})");
+                    assert_eq!(breakdown(&part, p), breakdown(&one, p));
+                    assert_eq!(part.gain_split(p, 0), one.gain_split(p, 0));
                 }
                 part.check_invariants();
             }
@@ -855,9 +861,9 @@ mod tests {
     }
 
     #[test]
-    fn deletions_agree_with_monolithic_for_all_parts_and_threads() {
+    fn deletions_agree_with_one_part_index_for_all_parts_and_threads() {
         let (g, targets) = fixture();
-        let mut mono = CoverageIndex::build(&g, &targets, Motif::Triangle);
+        let mut one = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, 1);
         let mut parted: Vec<PartitionedCoverageIndex> = Vec::new();
         for parts in [1usize, 4, 8] {
             for threads in [1usize, 3] {
@@ -866,15 +872,22 @@ mod tests {
                 parted.push(idx);
             }
         }
-        while let Some(&p) = mono.alive_candidate_edges().first() {
-            let broken = mono.delete_edge(p);
+        let mut live = g.clone();
+        while let Some(&p) = one.alive_candidate_edges().first() {
+            let broken = one.delete_edge(p);
+            live.remove_edge(p.u(), p.v());
+            assert_eq!(
+                one.similarities(),
+                count_all_targets(&live, &targets, Motif::Triangle),
+                "recount after delete({p})"
+            );
             for idx in &mut parted {
                 assert_eq!(idx.delete_edge(p), broken, "delete({p})");
-                assert_eq!(idx.total_similarity(), mono.total_similarity());
-                assert_eq!(idx.alive_candidate_edges(), mono.alive_candidate_edges());
+                assert_eq!(idx.total_similarity(), one.total_similarity());
+                assert_eq!(idx.alive_candidate_edges(), one.alive_candidate_edges());
             }
         }
-        assert_eq!(mono.total_similarity(), 0);
+        assert_eq!(one.total_similarity(), 0);
     }
 
     #[test]
@@ -924,8 +937,15 @@ mod tests {
         let (g, targets) = fixture();
         let mut idx = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, 3);
         let before = idx.total_similarity();
-        let mono = CoverageIndex::build(&g, &targets, Motif::Triangle);
-        assert_eq!(idx.gain(Edge::new(70, 79)), mono.gain(Edge::new(70, 79)));
+        let one = PartitionedCoverageIndex::build(&g, &targets, Motif::Triangle, 1);
+        let far = Edge::new(70, 79);
+        assert_eq!(idx.gain(far), one.gain(far));
+        let mut g2 = g.clone();
+        g2.remove_edge(far.u(), far.v());
+        let after: usize = count_all_targets(&g2, &targets, Motif::Triangle)
+            .iter()
+            .sum();
+        assert_eq!(idx.gain(far), before - after, "gain({far}) vs recount");
         assert_eq!(idx.gain(Edge::new(1000, 2000)), 0, "out-of-range edge");
         assert_eq!(idx.delete_edges(&[]), Vec::<usize>::new());
         assert_eq!(idx.delete_edge(Edge::new(1000, 2000)), 0);

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use tpp_bench::fixtures::er_released_workload;
 use tpp_graph::{Edge, Graph};
-use tpp_motif::{count_all_targets, CoverageIndex, Motif, PartitionedCoverageIndex};
+use tpp_motif::{count_all_targets, Motif, PartitionedCoverageIndex};
 
 /// Strategy: a random simple graph with `n in 8..=24` nodes and
 /// seed-derived edge probability, plus deterministic target pairs removed
@@ -89,7 +89,7 @@ proptest! {
     #[test]
     fn index_matches_recount_after_deletions((g, targets) in instance_strategy(), order in 0usize..1000) {
         for motif in MOTIFS {
-            let mut index = CoverageIndex::build(&g, &targets, motif);
+            let mut index = PartitionedCoverageIndex::build(&g, &targets, motif, 1);
             let mut g2 = g.clone();
             let mut edges = g.edge_vec();
             if edges.is_empty() { continue; }
@@ -99,8 +99,8 @@ proptest! {
                 index.delete_edge(*e);
                 g2.remove_edge(e.u(), e.v());
                 prop_assert_eq!(
-                    index.total_similarity(),
-                    total_similarity(&g2, &targets, motif),
+                    index.similarities(),
+                    count_all_targets(&g2, &targets, motif),
                     "motif {} diverged after deleting {}", motif, e
                 );
                 index.check_invariants();
@@ -112,7 +112,7 @@ proptest! {
     #[test]
     fn index_gain_equals_recount_delta((g, targets) in instance_strategy()) {
         for motif in MOTIFS {
-            let index = CoverageIndex::build(&g, &targets, motif);
+            let index = PartitionedCoverageIndex::build(&g, &targets, motif, 1);
             let before = total_similarity(&g, &targets, motif);
             prop_assert_eq!(index.total_similarity(), before);
             for p in index.all_candidate_edges().into_iter().take(10) {
@@ -163,14 +163,15 @@ proptest! {
                 prop_assert!(broken.windows(2).all(|w| w[0] == w[1]),
                     "partition counts disagree on delete({})", e);
                 g2.remove_edge(e.u(), e.v());
-                let fresh = CoverageIndex::build(&g2, &targets, motif);
+                let fresh = PartitionedCoverageIndex::build(&g2, &targets, motif, 1);
+                prop_assert_eq!(fresh.similarities(), count_all_targets(&g2, &targets, motif));
                 let idx = &indexes[0];
                 prop_assert_eq!(idx.total_similarity(), fresh.total_similarity(),
                     "motif {} diverged after deleting {}", motif, e);
                 prop_assert_eq!(idx.similarities(), fresh.similarities());
                 prop_assert_eq!(idx.alive_candidate_edges(),
-                    fresh.alive_candidate_edges().to_vec(), "candidates after {}", e);
-                for &p in fresh.alive_candidate_edges() {
+                    fresh.alive_candidate_edges(), "candidates after {}", e);
+                for p in fresh.alive_candidate_edges() {
                     prop_assert_eq!(idx.gain(p), fresh.gain(p), "gain({}) stale", p);
                     prop_assert_eq!(
                         idx.alive_instance_ids(p).len(), idx.gain(p),
