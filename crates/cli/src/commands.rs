@@ -7,11 +7,11 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use tpp_core::{
-    celf_greedy, celf_greedy_batch, critical_budget, ct_greedy_batch, delta_dirty_edges,
-    divide_budget, random_deletion, random_deletion_from_subgraphs, sgb_greedy, sgb_greedy_batch,
-    sgb_greedy_incremental, wt_greedy_batch, BudgetDivision, GreedyConfig, ProtectionPlan,
-    StepRecord, TppInstance,
+    celf_greedy_batch, critical_budget, ct_greedy_batch, delta_dirty_edges, divide_budget,
+    random_deletion, random_deletion_from_subgraphs, sgb_greedy_batch, sgb_greedy_incremental,
+    wt_greedy_batch, BudgetDivision, GreedyConfig, ProtectionPlan, StepRecord, TppInstance,
 };
+use tpp_graph::kernels::CountingGuard;
 use tpp_graph::{parse_edge_list, write_edge_list, Edge, FastSet, Graph};
 use tpp_linkpred::{evaluate_attack_on, sample_non_edges, Attacker, SimilarityIndex};
 use tpp_metrics::{compute_utility, utility_loss, UtilityBaseline, UtilityConfig};
@@ -165,24 +165,23 @@ fn emit_stats(out: &StatsOut, recorder: &Recorder) -> Result<(), String> {
     Ok(())
 }
 
-/// Turns process-wide kernel-selection counting on for a `--stats` run and
-/// returns the baseline tallies (so a long-lived process attributes only
-/// this run's selections). No-op `None` when the recorder is disabled —
-/// uninstrumented runs never pay the counting branch.
-pub(crate) fn start_kernel_counting(recorder: &Recorder) -> Option<tpp_graph::KernelCounts> {
-    recorder.is_enabled().then(|| {
-        tpp_graph::kernels::set_counting(true);
-        tpp_graph::kernels::counts()
-    })
+/// Turns process-wide kernel-selection counting on for a `--stats` run.
+/// The guard remembers the baseline tallies (so a long-lived process
+/// attributes only this run's selections) and switches counting off when
+/// it drops, unless another run's guard is still alive. `None` when the
+/// recorder is disabled — uninstrumented runs never pay the counting
+/// branch.
+pub(crate) fn start_kernel_counting(recorder: &Recorder) -> Option<CountingGuard> {
+    recorder
+        .is_enabled()
+        .then(tpp_graph::kernels::start_counting)
 }
 
-/// Folds the kernel-selection deltas since `baseline` into the recorder's
-/// `kernels` section. Counting deliberately stays on afterwards: the CLI
-/// is a one-shot process, and flipping the process-wide switch off here
-/// would race concurrent `--stats` runs in one process (the test binary).
-pub(crate) fn fold_kernel_counts(recorder: &Recorder, baseline: Option<tpp_graph::KernelCounts>) {
-    if let (Some(base), Some(st)) = (baseline, recorder.stats()) {
-        let d = tpp_graph::kernels::counts().since(base);
+/// Folds the kernel-selection deltas since `tally` started into the
+/// recorder's `kernels` section.
+pub(crate) fn fold_kernel_counts(recorder: &Recorder, tally: Option<&CountingGuard>) {
+    if let (Some(tally), Some(st)) = (tally, recorder.stats()) {
+        let d = tally.since_start();
         st.kernels.merge.add(d.merge);
         st.kernels.gallop.add(d.gallop);
         st.kernels.hub_probe.add(d.hub_probe);
@@ -471,13 +470,13 @@ fn protect(p: &Parsed) -> Result<(), String> {
     } else {
         Recorder::disabled()
     };
-    let kernel_base = start_kernel_counting(&recorder);
+    let tally = start_kernel_counting(&recorder);
     let g = load_graph_observed(p, &recorder)?;
     let report = run_protect(
         p,
         g,
         &recorder,
-        kernel_base,
+        tally.as_ref(),
         stats_out.as_ref(),
         &RunSeeds::default(),
     )?;
@@ -495,7 +494,7 @@ pub(crate) fn run_protect(
     p: &Parsed,
     g: Graph,
     recorder: &Recorder,
-    kernel_base: Option<tpp_graph::KernelCounts>,
+    tally: Option<&CountingGuard>,
     stats_out: Option<&StatsOut>,
     seeds: &RunSeeds,
 ) -> Result<String, String> {
@@ -554,10 +553,8 @@ pub(crate) fn run_protect(
             let (prior_steps, dirty) = incremental.as_ref().expect("checked above");
             sgb_greedy_incremental(&instance, budget, prior_steps, dirty, &cfg)
         }
-        "sgb" if batch > 1 => sgb_greedy_batch(&instance, budget, batch, &cfg),
-        "sgb" => sgb_greedy(&instance, budget, &cfg),
-        "celf" if batch > 1 => celf_greedy_batch(&instance, budget, batch, &cfg),
-        "celf" => celf_greedy(&instance, budget, &cfg),
+        "sgb" => sgb_greedy_batch(&instance, budget, batch, &cfg),
+        "celf" => celf_greedy_batch(&instance, budget, batch, &cfg),
         "ct" | "wt" => {
             let division = match p.get_or("division", "tbd") {
                 "tbd" => BudgetDivision::Tbd,
@@ -624,7 +621,7 @@ pub(crate) fn run_protect(
         let _ = writeln!(out, "plan -> {plan_path}");
     }
     if let Some(dest) = stats_out {
-        fold_kernel_counts(recorder, kernel_base);
+        fold_kernel_counts(recorder, tally);
         out.push_str(&stats_text(dest, recorder)?);
     }
     Ok(out)
@@ -637,13 +634,13 @@ fn attack(p: &Parsed) -> Result<(), String> {
     } else {
         Recorder::disabled()
     };
-    let kernel_base = start_kernel_counting(&recorder);
+    let tally = start_kernel_counting(&recorder);
     let g = load_graph_observed(p, &recorder)?;
     let report = run_attack(
         p,
         g,
         &recorder,
-        kernel_base,
+        tally.as_ref(),
         stats_out.as_ref(),
         &RunSeeds::default(),
     )?;
@@ -658,7 +655,7 @@ pub(crate) fn run_attack(
     p: &Parsed,
     g: Graph,
     recorder: &Recorder,
-    kernel_base: Option<tpp_graph::KernelCounts>,
+    tally: Option<&CountingGuard>,
     stats_out: Option<&StatsOut>,
     seeds: &RunSeeds,
 ) -> Result<String, String> {
@@ -702,7 +699,7 @@ pub(crate) fn run_attack(
         let _ = writeln!(out, "verdict: residual evidence remains");
     }
     if let Some(dest) = stats_out {
-        fold_kernel_counts(recorder, kernel_base);
+        fold_kernel_counts(recorder, tally);
         out.push_str(&stats_text(dest, recorder)?);
     }
     Ok(out)
@@ -1447,6 +1444,78 @@ mod tests {
         ]);
         let err = dispatch(&parse(&strs(&args)).unwrap()).unwrap_err();
         assert!(err.contains("target"), "got: {err}");
+    }
+
+    #[test]
+    fn protect_plan_in_canonicalizes_reversed_targets() {
+        let dir = tmpdir();
+        let graph_path = dir.join("g-inc-canon.txt");
+        let graph = graph_path.to_str().unwrap();
+        dispatch(&parse(&strs(&["generate", "--model", "karate", "--out", graph])).unwrap())
+            .unwrap();
+        let prior = dir.join("canon-prior.json");
+        let prior_s = prior.to_str().unwrap();
+        dispatch(
+            &parse(&strs(&[
+                "protect",
+                graph,
+                "--budget",
+                "3",
+                "--targets",
+                "0-1,2-3",
+                "--plan",
+                prior_s,
+            ]))
+            .unwrap(),
+        )
+        .unwrap();
+        let empty_delta = dir.join("canon-empty-delta.txt");
+        std::fs::write(&empty_delta, "").unwrap();
+        let repair = |plan_in: &std::path::Path, plan_out: &std::path::Path| {
+            dispatch(
+                &parse(&strs(&[
+                    "protect",
+                    graph,
+                    "--budget",
+                    "3",
+                    "--incremental",
+                    "--plan-in",
+                    plan_in.to_str().unwrap(),
+                    "--delta",
+                    empty_delta.to_str().unwrap(),
+                    "--plan-out",
+                    plan_out.to_str().unwrap(),
+                ]))
+                .unwrap(),
+            )
+        };
+        // The prior plan's first target, hand-edited to another form.
+        let prior_text = std::fs::read_to_string(&prior).unwrap();
+        let first = "\"targets\": [\n    [\n      0,\n      1\n    ]";
+        assert!(prior_text.contains(first), "unexpected plan layout");
+        let edited = |a: u32, b: u32| {
+            let replacement = format!("\"targets\": [\n    [\n      {a},\n      {b}\n    ]");
+            prior_text.replacen(first, &replacement, 1)
+        };
+        let canonical_out = dir.join("canon-out.json");
+        repair(&prior, &canonical_out).unwrap();
+        let reversed_in = dir.join("canon-reversed.json");
+        std::fs::write(&reversed_in, edited(1, 0)).unwrap();
+        let reversed_out = dir.join("canon-reversed-out.json");
+        repair(&reversed_in, &reversed_out).unwrap();
+        assert_eq!(
+            std::fs::read(&canonical_out).unwrap(),
+            std::fs::read(&reversed_out).unwrap(),
+            "a reversed target must repair to the canonical plan"
+        );
+        // A self-loop target is a typed parse error, not a panic.
+        let looped_in = dir.join("canon-self-loop.json");
+        std::fs::write(&looped_in, edited(1, 1)).unwrap();
+        let err = repair(&looped_in, &dir.join("canon-self-loop-out.json")).unwrap_err();
+        assert!(
+            err.contains("--plan-in") && err.contains("self-loop"),
+            "got: {err}"
+        );
     }
 
     #[test]

@@ -391,7 +391,7 @@ impl Server {
             st.serve.requests.inc();
         }
         self.sweep_registries(Some(&recorder));
-        let kernel_base = commands::start_kernel_counting(&recorder);
+        let tally = commands::start_kernel_counting(&recorder);
         let (g, utility) = self.graph_for(p, &recorder)?;
         let mut seeds = RunSeeds {
             pool: Some(self.pool.clone()),
@@ -405,9 +405,9 @@ impl Server {
                 seeds.index = self.index_for(p, &g, &recorder)?;
                 seeds.utility = Some(self.utility_for(p, &utility, &g, &recorder)?);
             }
-            commands::run_protect(p, g, &recorder, kernel_base, stats_out.as_ref(), &seeds)
+            commands::run_protect(p, g, &recorder, tally.as_ref(), stats_out.as_ref(), &seeds)
         } else {
-            commands::run_attack(p, g, &recorder, kernel_base, stats_out.as_ref(), &seeds)
+            commands::run_attack(p, g, &recorder, tally.as_ref(), stats_out.as_ref(), &seeds)
         }
     }
 

@@ -6,7 +6,6 @@
 
 use super::GreedyConfig;
 use crate::engine::RoundEngine;
-use crate::oracle::AnyOracle;
 use crate::plan::{AlgorithmKind, ProtectionPlan};
 use crate::problem::TppInstance;
 
@@ -17,27 +16,21 @@ use crate::problem::TppInstance;
 /// plan is bit-identical to [`sgb_greedy`](crate::sgb_greedy) under the
 /// same config. All evaluators are supported (lazy evaluation pays off
 /// most with the cheap incremental index, but the recount oracles benefit
-/// from skipped candidates just the same).
+/// from skipped candidates just the same). The same as
+/// [`celf_greedy_batch`] with `j = 1`.
 #[must_use]
 pub fn celf_greedy(instance: &TppInstance, k: usize, config: &GreedyConfig) -> ProtectionPlan {
-    let exec = config.parallelism();
-    let mut engine = RoundEngine::with_parallelism(
-        AnyOracle::for_instance(instance, config, &exec),
-        config.candidates,
-        exec,
-    );
-    engine.run_global_lazy(k);
-    engine.into_global_plan(AlgorithmKind::CelfGreedy)
+    celf_greedy_batch(instance, k, 1, config)
 }
 
 /// Runs the CELF + batch hybrid with global budget `k`: each lazy refresh
 /// phase pops up to `j` fresh heap tops whose gain sets are pairwise
 /// disjoint and commits them as one batch (see
-/// [`RoundEngine::run_global_lazy_batch`]); a conflicting top falls back
-/// to sequential re-evaluation in the next phase.
+/// [`RoundEngine::run_global_lazy`]); a conflicting top falls back to
+/// sequential re-evaluation in the next phase.
 ///
-/// `j = 1` produces plans bit-identical to [`celf_greedy`] (and therefore
-/// to [`sgb_greedy`](crate::sgb_greedy)); larger `j` keeps every recorded
+/// `j = 1` is the sequential lazy greedy, bit-identical to
+/// [`sgb_greedy`](crate::sgb_greedy); larger `j` keeps every recorded
 /// gain exact but may order picks differently than the strictly
 /// sequential greedy would — the same trade as
 /// [`sgb_greedy_batch`](crate::sgb_greedy_batch), at CELF's fraction of
@@ -49,13 +42,8 @@ pub fn celf_greedy_batch(
     j: usize,
     config: &GreedyConfig,
 ) -> ProtectionPlan {
-    let exec = config.parallelism();
-    let mut engine = RoundEngine::with_parallelism(
-        AnyOracle::for_instance(instance, config, &exec),
-        config.candidates,
-        exec,
-    );
-    engine.run_global_lazy_batch(k, j);
+    let mut engine = RoundEngine::for_config(instance, config);
+    engine.run_global_lazy(k, j);
     engine.into_global_plan(AlgorithmKind::CelfGreedy)
 }
 

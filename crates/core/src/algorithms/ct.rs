@@ -5,7 +5,6 @@
 use super::GreedyConfig;
 use crate::engine::RoundEngine;
 use crate::error::TppError;
-use crate::oracle::AnyOracle;
 use crate::plan::{AlgorithmKind, ProtectionPlan};
 use crate::problem::TppInstance;
 
@@ -32,7 +31,7 @@ pub fn ct_greedy(
 /// Runs CT-Greedy in **batch-commit rounds**: each candidate scan commits
 /// up to `j` picks whose gain sets are pairwise disjoint and whose charged
 /// targets have budget room (see
-/// [`RoundEngine::select_for_targets_batch`]), cutting the number of scans
+/// [`RoundEngine::select_for_targets`]), cutting the number of scans
 /// by up to `j`× on instances with many non-interacting protectors.
 ///
 /// `j = 1` produces plans bit-identical to [`ct_greedy`]; larger `j` keeps
@@ -56,12 +55,7 @@ pub fn ct_greedy_batch(
     }
     let n = budgets.len();
     let j = j.max(1);
-    let exec = config.parallelism();
-    let mut engine = RoundEngine::with_parallelism(
-        AnyOracle::for_instance(instance, config, &exec),
-        config.candidates,
-        exec,
-    );
+    let mut engine = RoundEngine::for_config(instance, config);
     loop {
         let open: Vec<(usize, usize)> = (0..n)
             .filter_map(|t| {
@@ -69,7 +63,7 @@ pub fn ct_greedy_batch(
                 (remaining > 0).then_some((t, remaining))
             })
             .collect();
-        if open.is_empty() || engine.select_for_targets_batch(&open, j).is_empty() {
+        if open.is_empty() || engine.select_for_targets(&open, j).is_empty() {
             break;
         }
     }

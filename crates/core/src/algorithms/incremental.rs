@@ -16,7 +16,6 @@
 
 use super::GreedyConfig;
 use crate::engine::RoundEngine;
-use crate::oracle::AnyOracle;
 use crate::plan::{AlgorithmKind, ProtectionPlan, StepRecord};
 use crate::problem::TppInstance;
 use tpp_graph::{Edge, FastSet, NeighborAccess};
@@ -73,12 +72,7 @@ pub fn sgb_greedy_incremental(
     dirty: &FastSet<Edge>,
     config: &GreedyConfig,
 ) -> ProtectionPlan {
-    let exec = config.parallelism();
-    let mut engine = RoundEngine::with_parallelism(
-        AnyOracle::for_instance(instance, config, &exec),
-        config.candidates,
-        exec,
-    );
+    let mut engine = RoundEngine::for_config(instance, config);
     engine.run_global_memoized(k, prior_steps, dirty);
     engine.into_global_plan(AlgorithmKind::SgbGreedy)
 }

@@ -345,13 +345,4 @@ impl GreedyConfig {
             None => Parallelism::with_recorder(self.threads, self.obs.recorder.clone()),
         }
     }
-
-    /// Suffix for report labels: `""` for plain, `"-R"` for scalable.
-    #[must_use]
-    pub fn label_suffix(&self) -> &'static str {
-        match self.candidates {
-            CandidatePolicy::AllEdges => "",
-            CandidatePolicy::SubgraphEdges => "-R",
-        }
-    }
 }

@@ -5,7 +5,6 @@
 
 use super::GreedyConfig;
 use crate::engine::RoundEngine;
-use crate::oracle::AnyOracle;
 use crate::plan::{AlgorithmKind, ProtectionPlan};
 use crate::problem::TppInstance;
 
@@ -15,28 +14,21 @@ use crate::problem::TppInstance;
 /// candidate with the highest dissimilarity gain `Δ_p` (ties broken toward
 /// the canonically smallest edge) and stops early when no candidate breaks
 /// any target subgraph. `config.threads` shards the per-round scan without
-/// changing a single pick.
+/// changing a single pick. The same as [`sgb_greedy_batch`] with `j = 1`.
 #[must_use]
 pub fn sgb_greedy(instance: &TppInstance, k: usize, config: &GreedyConfig) -> ProtectionPlan {
-    let exec = config.parallelism();
-    let mut engine = RoundEngine::with_parallelism(
-        AnyOracle::for_instance(instance, config, &exec),
-        config.candidates,
-        exec,
-    );
-    engine.run_global(k);
-    engine.into_global_plan(AlgorithmKind::SgbGreedy)
+    sgb_greedy_batch(instance, k, 1, config)
 }
 
 /// Runs SGB-Greedy with global budget `k` in **batch-commit rounds**: each
 /// candidate scan commits up to `j` picks whose gain sets are pairwise
-/// disjoint (see [`RoundEngine::select_batch`]), cutting the number of
+/// disjoint (see [`RoundEngine::run_global`]), cutting the number of
 /// scans by up to `j`× on instances with many non-interacting protectors.
 ///
-/// `j = 1` produces plans bit-identical to [`sgb_greedy`]; larger `j`
-/// keeps every accepted pick's recorded gain exact (disjointness makes the
-/// scanned gains the realized ones) but may order picks differently than
-/// the strictly sequential greedy would.
+/// `j = 1` is the sequential greedy; larger `j` keeps every accepted
+/// pick's recorded gain exact (disjointness makes the scanned gains the
+/// realized ones) but may order picks differently than the strictly
+/// sequential greedy would.
 #[must_use]
 pub fn sgb_greedy_batch(
     instance: &TppInstance,
@@ -44,13 +36,8 @@ pub fn sgb_greedy_batch(
     j: usize,
     config: &GreedyConfig,
 ) -> ProtectionPlan {
-    let exec = config.parallelism();
-    let mut engine = RoundEngine::with_parallelism(
-        AnyOracle::for_instance(instance, config, &exec),
-        config.candidates,
-        exec,
-    );
-    engine.select_batch(k, j);
+    let mut engine = RoundEngine::for_config(instance, config);
+    engine.run_global(k, j);
     engine.into_global_plan(AlgorithmKind::SgbGreedy)
 }
 

@@ -5,7 +5,6 @@
 use super::GreedyConfig;
 use crate::engine::RoundEngine;
 use crate::error::TppError;
-use crate::oracle::AnyOracle;
 use crate::plan::{AlgorithmKind, ProtectionPlan};
 use crate::problem::TppInstance;
 
@@ -32,7 +31,7 @@ pub fn wt_greedy(
 /// Runs WT-Greedy in **batch-commit rounds**: while a target's sub-budget
 /// lasts, each candidate scan commits up to `j` disjoint-gain-set picks
 /// charged to the current target (see
-/// [`RoundEngine::select_for_targets_batch`] — the open set is the single
+/// [`RoundEngine::select_for_targets`] — the open set is the single
 /// current target, so per-charged-target budget capping bounds the batch
 /// by the remaining sub-budget).
 ///
@@ -55,16 +54,11 @@ pub fn wt_greedy_batch(
         });
     }
     let j = j.max(1);
-    let exec = config.parallelism();
-    let mut engine = RoundEngine::with_parallelism(
-        AnyOracle::for_instance(instance, config, &exec),
-        config.candidates,
-        exec,
-    );
+    let mut engine = RoundEngine::for_config(instance, config);
     'targets: for (t, &budget) in budgets.iter().enumerate() {
         while engine.charged(t) < budget {
             let remaining = budget - engine.charged(t);
-            let picks = engine.select_for_targets_batch(&[(t, remaining)], j.min(remaining));
+            let picks = engine.select_for_targets(&[(t, remaining)], j.min(remaining));
             if picks.is_empty() {
                 break 'targets;
             }

@@ -19,7 +19,7 @@ pub fn random_deletion(
     motif: Motif,
     seed: u64,
 ) -> ProtectionPlan {
-    let oracle = IndexOracle::new(instance.released(), instance.targets(), motif);
+    let oracle = IndexOracle::from_prebuilt(instance.build_index(motif), instance.released());
     let pool = instance.released().edge_vec();
     let deletions = sample(pool, k, seed);
     apply_fixed_deletions(oracle, deletions, AlgorithmKind::RandomDeletion)
@@ -36,7 +36,7 @@ pub fn random_deletion_from_subgraphs(
     motif: Motif,
     seed: u64,
 ) -> ProtectionPlan {
-    let oracle = IndexOracle::new(instance.released(), instance.targets(), motif);
+    let oracle = IndexOracle::from_prebuilt(instance.build_index(motif), instance.released());
     let pool = oracle.index().all_candidate_edges();
     let deletions = sample(pool, k, seed);
     apply_fixed_deletions(oracle, deletions, AlgorithmKind::RandomFromSubgraphs)
@@ -54,7 +54,7 @@ fn sample(mut pool: Vec<Edge>, k: usize, seed: u64) -> Vec<Edge> {
 /// through the coverage index (the baselines never *compute* gains — they
 /// only pay for deletions — so measured running time stays baseline-cheap).
 fn apply_fixed_deletions(
-    mut oracle: IndexOracle,
+    mut oracle: IndexOracle<'_>,
     deletions: Vec<Edge>,
     algorithm: AlgorithmKind,
 ) -> ProtectionPlan {

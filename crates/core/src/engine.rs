@@ -42,30 +42,34 @@
 //!
 //! ## Batch-commit rounds
 //!
-//! [`RoundEngine::select_batch`] amortizes the scan over up to `j` commits
-//! per round: after one scan, the top-`j` candidates whose current gain
-//! sets are pairwise disjoint (verified against the partitioned coverage
-//! index via [`GainOracle::gain_set`]) are committed together through
-//! [`GainOracle::commit_batch`] — disjointness makes their scanned gains
-//! exact without rescanning. Conflicting candidates are skipped for the
-//! round (they stay in later rounds), and oracles that cannot enumerate
-//! gain sets degrade to one commit per round — the sequential fallback.
-//! `j = 1` is bit-identical to [`RoundEngine::run_global`].
+//! Every round mode has one entry point that takes a batch width: `j` for
+//! [`RoundEngine::run_global`] (SGB) and [`RoundEngine::run_global_lazy`]
+//! (CELF), `room` for [`RoundEngine::select_for_targets`] (CT/WT). A round
+//! with room for one pick is the plain sequential round — a streaming
+//! argmax or a lazy-heap pop, one commit. A round with more room scans
+//! once and commits up to that many picks whose current gain sets are
+//! pairwise disjoint (verified against the partitioned coverage index via
+//! [`GainOracle::gain_set`]) together through
+//! [`GainOracle::commit_batch`]: disjointness makes their scanned gains
+//! exact without rescanning. One private admitter serves all three modes:
 //!
-//! Every strategy is batch-aware, not just SGB:
-//!
-//! * [`RoundEngine::select_for_targets_batch`] runs CT/WT targeted rounds
-//!   with **per-charged-target disjointness** — accepted picks need
-//!   pairwise-disjoint gain sets (keeping every `(own, cross)` split
+//! * SGB batch rounds take candidates in `(gain desc, edge asc)` order and
+//!   skip conflicting ones for the round (they stay in later rounds);
+//! * CT/WT batch rounds add **per-charged-target** budgets: accepted picks
+//!   need pairwise-disjoint gain sets (keeping every `(own, cross)` split
 //!   exact, per target, at commit) *and* must fit their charged target's
 //!   remaining budget this round;
-//! * [`RoundEngine::run_global_lazy_batch`] is the CELF + batch hybrid:
-//!   each lazy refresh phase pops up to `j` disjoint fresh heap tops and
-//!   commits them together, falling back to sequential re-evaluation when
-//!   a top conflicts.
+//! * CELF batch phases pop up to `j` disjoint fresh heap tops and commit
+//!   them together, pushing a conflicting top back for sequential
+//!   re-evaluation.
+//!
+//! Oracles that cannot enumerate gain sets degrade to one commit per
+//! round — the sequential fallback.
 
-use crate::oracle::{CandidatePolicy, GainOracle, GainProbe};
+use crate::algorithms::GreedyConfig;
+use crate::oracle::{AnyOracle, CandidatePolicy, GainOracle, GainProbe};
 use crate::plan::{AlgorithmKind, ProtectionPlan, StepRecord};
+use crate::problem::TppInstance;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -91,12 +95,9 @@ const STEAL_SPANS_PER_WORKER: usize = 4;
 /// show up against even microsecond-scale spans.
 const MAX_ADAPTIVE_SPANS_PER_WORKER: usize = 32;
 
-/// Conflict budget per batch-round pick slot: a batch round stops probing
-/// for more disjoint picks after `room ×` this many gain-set conflicts and
-/// commits what it has. Each conflict probe walks a posting list and
-/// allocates its id set, so an unbounded skip loop on a hub-dominated
-/// instance (where most gain sets overlap the top pick) could cost more
-/// than the sequential rounds the batch replaces. Purely a performance
+/// Conflict budget per batch-round pick slot: a global or targeted batch
+/// round stops probing for more disjoint picks after `room ×` this many
+/// gain-set conflicts and commits what it has. Purely a performance
 /// valve: a round always accepts at least the top pick, so progress and
 /// the documented greedy-feasibility are unaffected.
 const BATCH_CONFLICTS_PER_SLOT: usize = 16;
@@ -161,13 +162,6 @@ impl ScanTuner {
             None => observed,
             Some(ewma) => SCAN_COST_EWMA_ALPHA * observed + (1.0 - SCAN_COST_EWMA_ALPHA) * ewma,
         });
-    }
-
-    /// The current cost estimate in nanoseconds per weight unit (`None`
-    /// before the first observation) — exposed for diagnostics.
-    #[must_use]
-    pub fn nanos_per_weight(&self) -> Option<f64> {
-        self.nanos_per_weight
     }
 }
 
@@ -299,6 +293,91 @@ struct TargetedScore {
     target: usize,
 }
 
+/// One pick admitted to a batch round: `(edge, scanned gain, charged
+/// target, own)`. Global and lazy picks charge no target and record no
+/// separate own count.
+type BatchPick = (Edge, usize, Option<usize>, Option<usize>);
+
+/// The verdict of [`DisjointAdmitter::offer`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Admission {
+    /// The pick joins the batch.
+    Accepted,
+    /// The pick conflicts with the batch; later picks may still fit.
+    Skipped,
+    /// Nothing further can join this batch.
+    Stop,
+}
+
+/// Disjoint-gain-set admission for one batch round, shared by the global,
+/// lazy and targeted batch modes. It holds the instances claimed by the
+/// accepted picks, the opaque-oracle fallback, and the conflict budget,
+/// and reports into the `batch_conflicts` / `sequential_fallbacks`
+/// counters.
+struct DisjointAdmitter {
+    claimed: FastSet<InstanceId>,
+    /// Picks accepted so far.
+    accepted: usize,
+    /// `true` once the first pick's gain set is unknown: nothing further
+    /// can be proven disjoint, so the round degrades to one commit.
+    opaque: bool,
+    /// Conflicts left before the round stops probing. Each conflict probe
+    /// walks a posting list and allocates its id set, so an unbounded skip
+    /// loop on a hub-dominated instance could cost more than the
+    /// sequential rounds the batch replaces.
+    conflicts_left: usize,
+}
+
+impl DisjointAdmitter {
+    fn new(conflict_budget: usize) -> Self {
+        DisjointAdmitter {
+            claimed: FastSet::default(),
+            accepted: 0,
+            opaque: false,
+            conflicts_left: conflict_budget,
+        }
+    }
+
+    /// Offers `p`, the best pick not yet offered. The first offer is always
+    /// accepted: it is what the sequential round would commit.
+    fn offer<O: GainOracle>(&mut self, oracle: &mut O, obs: &Recorder, p: Edge) -> Admission {
+        if self.accepted == 0 {
+            match oracle.gain_set(p) {
+                Some(ids) => self.claimed.extend(ids),
+                None => {
+                    self.opaque = true;
+                    if let Some(st) = obs.stats() {
+                        st.round.sequential_fallbacks.inc();
+                    }
+                }
+            }
+            self.accepted = 1;
+            return Admission::Accepted;
+        }
+        if self.opaque {
+            return Admission::Stop;
+        }
+        match oracle.gain_set(p) {
+            Some(ids) if ids.iter().all(|id| !self.claimed.contains(id)) => {
+                self.claimed.extend(ids);
+                self.accepted += 1;
+                Admission::Accepted
+            }
+            _ => {
+                if let Some(st) = obs.stats() {
+                    st.round.batch_conflicts.inc();
+                }
+                self.conflicts_left -= 1;
+                if self.conflicts_left == 0 {
+                    Admission::Stop
+                } else {
+                    Admission::Skipped
+                }
+            }
+        }
+    }
+}
+
 /// The open targets of one CT/WT round: a membership mask over every
 /// target id plus the smallest open id. One shared scorer reads it for
 /// the sequential round and the batch round alike.
@@ -360,15 +439,19 @@ impl OpenTargets {
 /// sharded across threads), canonical tie-break, commit, and step
 /// recording — generic over the gain oracle.
 ///
-/// Algorithms drive it through four selection modes:
+/// Algorithms drive it through one entry point per selection mode, each
+/// taking a batch width (see the module docs):
 ///
 /// * [`run_global`](Self::run_global) — SGB-Greedy rounds (argmax total
 ///   gain);
 /// * [`run_global_lazy`](Self::run_global_lazy) — the same rounds through
-///   a CELF lazy queue (identical output, far fewer evaluations);
+///   a CELF lazy queue (identical output at `j = 1`, far fewer
+///   evaluations);
 /// * [`select_for_targets`](Self::select_for_targets) — one CT/WT-style
 ///   round maximizing lexicographic `(own, cross)` over a set of open
 ///   targets;
+/// * [`run_global_memoized`](Self::run_global_memoized) — SGB rounds that
+///   reuse a prior plan's gains (incremental repair);
 /// * [`select_custom`](Self::select_custom) + [`commit_pick`](Self::commit_pick)
 ///   — bring-your-own score (the weighted extension).
 pub struct RoundEngine<O: GainOracle> {
@@ -389,6 +472,19 @@ pub struct RoundEngine<O: GainOracle> {
     /// Disabled recorders cost one branch per round, nothing per
     /// candidate, and no allocation on the scan hot path.
     obs: Recorder,
+}
+
+impl<'a> RoundEngine<AnyOracle<'a>> {
+    /// Builds the engine a greedy run of `config` uses: the oracle
+    /// `config.evaluator` selects over the instance, on the executor
+    /// [`GreedyConfig::parallelism`] hands out, so the index build, the
+    /// scans and the commits share one pool and one recorder.
+    #[must_use]
+    pub fn for_config(instance: &'a TppInstance, config: &GreedyConfig) -> Self {
+        let exec = config.parallelism();
+        let oracle = AnyOracle::for_instance(instance, config, &exec);
+        Self::with_parallelism(oracle, config.candidates, exec)
+    }
 }
 
 impl<O: GainOracle + Sync> RoundEngine<O> {
@@ -426,12 +522,6 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
             tuner: ScanTuner::default(),
             obs,
         }
-    }
-
-    /// The engine's adaptive scan-cost model (diagnostics).
-    #[must_use]
-    pub fn tuner(&self) -> &ScanTuner {
-        &self.tuner
     }
 
     /// Candidate weights plus their total, the inputs of the span plan.
@@ -485,12 +575,6 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
             st.round.scan_spans.record(spans as u64);
         }
         scores
-    }
-
-    /// Read access to the oracle's committed state.
-    #[must_use]
-    pub fn oracle(&self) -> &O {
-        &self.oracle
     }
 
     /// Number of committed picks so far.
@@ -585,7 +669,7 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
     /// One SGB round: commit the candidate with the highest total gain
     /// (ties to the canonically smallest edge). `None` when no candidate
     /// breaks anything — the early-stop condition.
-    pub fn select_global(&mut self) -> Option<(usize, Edge)> {
+    fn select_global(&mut self) -> Option<(usize, Edge)> {
         let (gain, p) = self.select_custom(|probe, p| Some(probe.delta(p)), |a, b| a > b)?;
         if gain == 0 {
             return None;
@@ -595,17 +679,295 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
         Some((gain, p))
     }
 
-    /// Runs SGB rounds until `k` picks are committed or gains are
-    /// exhausted.
-    pub fn run_global(&mut self, k: usize) {
-        while self.picks() < k && self.select_global().is_some() {}
+    /// SGB-Greedy rounds: runs until `k` picks are committed or gains are
+    /// exhausted, committing up to `j` picks per candidate scan.
+    ///
+    /// A round with room for one pick (`j = 1`, or one pick left under
+    /// `k`) is the plain sequential round: a streaming argmax over the
+    /// candidates, ties to the canonically smallest edge, one commit.
+    ///
+    /// A round with more room scans every candidate once, orders them by
+    /// `(gain desc, edge asc)` — the canonical argmax order — and accepts
+    /// picks greedily while their current gain sets (alive instances, per
+    /// [`GainOracle::gain_set`]) are pairwise disjoint. Disjointness makes
+    /// the scanned gains *exact* for every accepted pick without a rescan,
+    /// so the whole batch commits at once through
+    /// [`GainOracle::commit_batch`] (shard-parallel for the partitioned
+    /// index). A candidate that conflicts with the accepted set is skipped
+    /// for this round only; when the oracle cannot enumerate gain sets
+    /// (`gain_set` returns `None`), the round falls back to a single
+    /// sequential commit. Larger `j` trades strict greedy optimality for
+    /// `j`× fewer scans; the accepted picks of one round are exactly a
+    /// greedy-feasible commit order because their gain sets do not
+    /// interact.
+    pub fn run_global(&mut self, k: usize, j: usize) {
+        let j = j.max(1);
+        while self.picks() < k {
+            let room = j.min(k - self.picks());
+            let committed = if room == 1 {
+                usize::from(self.select_global().is_some())
+            } else {
+                self.global_batch_round(room)
+            };
+            if committed == 0 {
+                break;
+            }
+        }
+    }
+
+    /// One SGB round with room for `room > 1` picks (see
+    /// [`run_global`](Self::run_global)). Returns how many picks were
+    /// committed (0 = gains exhausted).
+    fn global_batch_round(&mut self, room: usize) -> usize {
+        let candidates = self.oracle.candidates(self.policy);
+        if candidates.is_empty() {
+            return 0;
+        }
+        let gains = self.scan_map(&candidates, |probe, p| probe.delta(p));
+        // Canonical commit order: highest gain first, ties to the
+        // canonically smallest edge — the sequential argmax, repeated.
+        let mut order: Vec<usize> = (0..candidates.len()).filter(|&i| gains[i] > 0).collect();
+        order.sort_unstable_by_key(|&i| (Reverse(gains[i]), candidates[i]));
+        let ranked = order.iter().map(|&i| (candidates[i], gains[i], None, None));
+        let accepted = self.admit_disjoint(ranked, room, &mut []);
+        self.commit_accepted_batch(&accepted);
+        accepted.len()
+    }
+
+    /// Accepts up to `room` picks from `ranked` (best first) whose gain
+    /// sets are pairwise disjoint — the admission shared by the global and
+    /// targeted batch rounds. A pick charged to a target whose
+    /// `budget_left` entry is 0 is skipped; every accepted charged pick
+    /// spends one unit of its target's entry.
+    fn admit_disjoint(
+        &mut self,
+        ranked: impl Iterator<Item = BatchPick>,
+        room: usize,
+        budget_left: &mut [usize],
+    ) -> Vec<BatchPick> {
+        let mut admitter = DisjointAdmitter::new(room * BATCH_CONFLICTS_PER_SLOT);
+        let mut accepted: Vec<BatchPick> = Vec::with_capacity(room);
+        for pick in ranked {
+            if accepted.len() >= room {
+                break;
+            }
+            let (p, _, charged, _) = pick;
+            if charged.is_some_and(|t| budget_left[t] == 0) {
+                continue; // target full this round: rescored next round
+            }
+            match admitter.offer(&mut self.oracle, &self.obs, p) {
+                Admission::Accepted => {
+                    if let Some(t) = charged {
+                        budget_left[t] -= 1;
+                    }
+                    accepted.push(pick);
+                }
+                // Conflict: skip for this round only; the candidate stays
+                // live and is rescored next round.
+                Admission::Skipped => {}
+                Admission::Stop => break,
+            }
+        }
+        accepted
+    }
+
+    /// Runs the same rounds as [`run_global`](Self::run_global) through a
+    /// CELF lazy queue (Leskovec et al. 2007): a candidate's cached gain
+    /// upper-bounds its current gain by submodularity, so most candidates
+    /// are never re-evaluated. The initial bound sweep is sharded across
+    /// the engine's threads; refreshes are sequential. At `j = 1` the
+    /// output is identical to `run_global(k, 1)` for every oracle and
+    /// thread count.
+    ///
+    /// With `j > 1` each refresh phase pops up to `j` **fresh** heap tops
+    /// whose gain sets are pairwise disjoint and commits them as one batch
+    /// through [`GainOracle::commit_batch`] (the CELF + batch hybrid). A
+    /// popped fresh top whose gain set conflicts with the accepted set (or
+    /// cannot be enumerated) is pushed back and the batch commits early —
+    /// the conflicting candidate falls back to sequential re-evaluation in
+    /// the next refresh phase, exactly like a stale bound. The round
+    /// counter advances by the batch size at commit, so every cached bound
+    /// predating the batch is re-verified before it can win; disjointness
+    /// makes every accepted cached gain exact at commit.
+    pub fn run_global_lazy(&mut self, k: usize, j: usize) {
+        let j = j.max(1);
+        if k == 0 {
+            return;
+        }
+        let candidates = self.oracle.candidates(self.policy);
+        let gains = self.scan_map(&candidates, |probe, p| probe.delta(p));
+        // Max-heap of (cached_gain, Reverse(edge), round_evaluated):
+        // ordering by Reverse(edge) second pops the canonically smallest
+        // edge on gain ties — the linear scan's tie-break exactly.
+        let mut heap: BinaryHeap<(usize, Reverse<Edge>, usize)> = candidates
+            .into_iter()
+            .zip(gains)
+            .map(|(p, g)| (g, Reverse(p), 0usize))
+            .collect();
+        let mut round = 0usize;
+        while self.picks() < k {
+            let room = j.min(k - self.picks());
+            // A phase with room for one pick needs no disjointness proof.
+            // A conflict budget of one ends the phase at its first
+            // conflict.
+            let mut admitter = (room > 1).then(|| DisjointAdmitter::new(1));
+            let mut accepted: Vec<BatchPick> = Vec::with_capacity(room);
+            while accepted.len() < room {
+                let Some((cached, Reverse(p), evaluated_at)) = heap.pop() else {
+                    break;
+                };
+                if cached == 0 {
+                    break; // all remaining upper bounds are 0
+                }
+                if evaluated_at < round {
+                    // Stale bound: refresh and reinsert. Submodularity
+                    // guarantees fresh <= cached, so the heap stays sound.
+                    let fresh = self.oracle.gain(p);
+                    debug_assert!(fresh <= cached, "submodularity violated");
+                    heap.push((fresh, Reverse(p), round));
+                    continue;
+                }
+                if let Some(admitter) = &mut admitter {
+                    if admitter.offer(&mut self.oracle, &self.obs, p) != Admission::Accepted {
+                        heap.push((cached, Reverse(p), evaluated_at));
+                        break;
+                    }
+                }
+                accepted.push((p, cached, None, None));
+            }
+            match accepted[..] {
+                [] => break,
+                [(p, cached, ..)] if room == 1 => {
+                    let broken = self.commit_pick(p, None, None);
+                    debug_assert_eq!(broken, cached);
+                }
+                _ => self.commit_accepted_batch(&accepted),
+            }
+            round += accepted.len();
+        }
+    }
+
+    /// One CT/WT round: scores every candidate by lexicographic
+    /// `(own, cross)`, where `own` is its largest per-target break count
+    /// over the `open` targets and the pick is charged to that target (the
+    /// smallest target id on own-level ties), and commits up to `room`
+    /// picks. `open` lists the open targets as `(target, remaining
+    /// budget)` pairs in strictly ascending target order (every
+    /// `remaining >= 1`). Returns the committed picks in commit order
+    /// (empty = global exhaustion: no candidate breaks anything).
+    ///
+    /// `room == 1` is the sequential round: a streaming argmax, one
+    /// commit. A larger `room` orders the candidates by the same score —
+    /// ties to the smallest edge — and accepts them greedily under
+    /// **per-charged-target disjointness**:
+    ///
+    /// * a pick's gain set (alive instances, [`GainOracle::gain_set`])
+    ///   must be disjoint from every already-accepted pick's, which keeps
+    ///   both components of every accepted `(own, cross)` split exact at
+    ///   commit (disjoint sets leave each set's per-target decomposition
+    ///   untouched);
+    /// * the picks charged to each target must fit its remaining budget —
+    ///   a candidate whose charged target is already full this round is
+    ///   skipped (it stays live and is rescored next round, when the
+    ///   closed target has left the open set).
+    ///
+    /// Accepted picks commit through one [`GainOracle::commit_batch`];
+    /// oracles that cannot enumerate gain sets degrade to one commit per
+    /// round.
+    ///
+    /// # Panics
+    /// Panics unless the targets of `open` are strictly ascending and
+    /// every one is a target of the oracle.
+    pub fn select_for_targets(
+        &mut self,
+        open: &[(usize, usize)],
+        room: usize,
+    ) -> Vec<TargetedPick> {
+        if open.is_empty() {
+            return Vec::new();
+        }
+        let open_targets = OpenTargets::new(open.iter().map(|&(t, _)| t), self.per_target.len());
+        match room {
+            0 => Vec::new(),
+            1 => self.select_for_open(&open_targets).into_iter().collect(),
+            _ => self.targeted_batch_round(open, &open_targets, room),
+        }
+    }
+
+    /// The sequential CT/WT round over a validated open set.
+    fn select_for_open(&mut self, open: &OpenTargets) -> Option<TargetedPick> {
+        let best = self.select_custom(
+            |probe, p| open.score(probe.delta_breakdown(p)),
+            |a, b| (a.own, a.cross) > (b.own, b.cross),
+        );
+        let (score, p) = best?;
+        let broken = self.commit_pick(p, Some(score.target), Some(score.own));
+        debug_assert_eq!(
+            broken,
+            score.own + score.cross,
+            "breakdown must match break"
+        );
+        Some(TargetedPick {
+            protector: p,
+            target: score.target,
+            own: score.own,
+            cross: score.cross,
+        })
+    }
+
+    /// One CT/WT round with room for `room > 1` picks (see
+    /// [`select_for_targets`](Self::select_for_targets)).
+    fn targeted_batch_round(
+        &mut self,
+        open: &[(usize, usize)],
+        open_targets: &OpenTargets,
+        room: usize,
+    ) -> Vec<TargetedPick> {
+        let candidates = self.oracle.candidates(self.policy);
+        if candidates.is_empty() {
+            return Vec::new();
+        }
+        let scored = self.scan_map(&candidates, |probe, p| {
+            open_targets.score(probe.delta_breakdown(p))
+        });
+        let score = |i: usize| scored[i].expect("filtered to scored candidates");
+        let mut order: Vec<usize> = (0..candidates.len())
+            .filter(|&i| scored[i].is_some())
+            .collect();
+        order.sort_unstable_by_key(|&i| {
+            let s = score(i);
+            (Reverse(s.own), Reverse(s.cross), candidates[i])
+        });
+        // Per-target room left this round, indexed by target id.
+        let mut budget_left = vec![0usize; self.per_target.len()];
+        for &(t, remaining) in open {
+            budget_left[t] = remaining;
+        }
+        let ranked = order.iter().map(|&i| {
+            let s = score(i);
+            (candidates[i], s.own + s.cross, Some(s.target), Some(s.own))
+        });
+        let accepted = self.admit_disjoint(ranked, room, &mut budget_left);
+        self.commit_accepted_batch(&accepted);
+        accepted
+            .iter()
+            .map(|&(protector, broken, target, own)| {
+                let own = own.expect("targeted picks record their own count");
+                TargetedPick {
+                    protector,
+                    target: target.expect("targeted picks are charged"),
+                    own,
+                    cross: broken - own,
+                }
+            })
+            .collect()
     }
 
     /// [`run_global`](Self::run_global) with **gain memoization against a
     /// prior plan**: re-scores only the candidates in `dirty` each round
     /// and reuses the prior run's recorded gains for everything else. The
     /// committed plan is **bit-identical** to a from-scratch
-    /// [`run_global`](Self::run_global) on the current oracle state — the
+    /// [`run_global(k, 1)`](Self::run_global) on the current oracle state — the
     /// incremental re-protection fast path (`tpp protect --incremental`).
     ///
     /// `prior_steps` are the [`StepRecord`]s of a completed global-budget
@@ -638,8 +1000,7 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
     ///   falls back to one full scan for this round.
     ///
     /// The first round whose commit diverges from `prior_steps` (and every
-    /// round past their end) runs as a plain full-scan
-    /// [`select_global`](Self::select_global) round. Candidate lists must
+    /// round past their end) runs as a plain full-scan SGB round. Candidate lists must
     /// be canonically sorted (both [`CandidatePolicy`] sources are).
     ///
     /// Re-scored vs memoized candidate counts land in the recorder's
@@ -742,10 +1103,13 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
     /// Commits an accepted disjoint batch through
     /// [`GainOracle::commit_batch`] and records every pick — the commit
     /// bookkeeping shared by all three batch modes (global, lazy,
-    /// targeted). Each pick is `(edge, expected gain, charged target,
-    /// own)`; disjointness is the caller's admission invariant, asserted
-    /// here against the realized break counts.
-    fn commit_accepted_batch(&mut self, picks: &[(Edge, usize, Option<usize>, Option<usize>)]) {
+    /// targeted); an empty batch commits nothing. Disjointness is the
+    /// caller's admission invariant, asserted here against the realized
+    /// break counts.
+    fn commit_accepted_batch(&mut self, picks: &[BatchPick]) {
+        if picks.is_empty() {
+            return;
+        }
         let edges: Vec<Edge> = picks.iter().map(|&(e, ..)| e).collect();
         let mut sim = self.oracle.total_similarity();
         let t0 = self.obs.is_enabled().then(Instant::now);
@@ -777,434 +1141,6 @@ impl<O: GainOracle + Sync> RoundEngine<O> {
             });
         }
         debug_assert_eq!(sim, self.oracle.total_similarity());
-    }
-
-    /// Batch-commit rounds: runs until `k` picks are committed or gains
-    /// are exhausted, committing up to `j` picks per candidate scan.
-    ///
-    /// Each round scans every candidate once, orders them by
-    /// `(gain desc, edge asc)` — the canonical argmax order — and accepts
-    /// picks greedily while their current gain sets (alive instances, per
-    /// [`GainOracle::gain_set`]) are pairwise disjoint. Disjointness makes
-    /// the scanned gains *exact* for every accepted pick without a rescan,
-    /// so the whole batch commits at once through
-    /// [`GainOracle::commit_batch`] (shard-parallel for the partitioned
-    /// index). A candidate that conflicts with the accepted set is skipped
-    /// for this round only; when the oracle cannot enumerate gain sets
-    /// (`gain_set` returns `None`), every pair conflicts and the round
-    /// falls back to a single sequential commit.
-    ///
-    /// `select_batch(k, 1)` is **bit-identical** to
-    /// [`run_global`](Self::run_global) for every oracle and thread count
-    /// (pinned by proptest). Larger `j` trades strict greedy optimality
-    /// for `j`× fewer scans; the accepted picks of one round are exactly a
-    /// greedy-feasible commit order because their gain sets do not
-    /// interact.
-    pub fn select_batch(&mut self, k: usize, j: usize) {
-        let j = j.max(1);
-        while self.picks() < k {
-            let room = j.min(k - self.picks());
-            if self.batch_round(room) == 0 {
-                break;
-            }
-        }
-    }
-
-    /// One batch round: scan, accept up to `room` disjoint picks, commit
-    /// them together. Returns how many picks were committed (0 = gains
-    /// exhausted).
-    fn batch_round(&mut self, room: usize) -> usize {
-        if room <= 1 {
-            // A batch of one *is* a sequential round: same scan, same
-            // commit, no ordering sort — bit-identity by construction.
-            return usize::from(self.select_global().is_some());
-        }
-        let candidates = self.oracle.candidates(self.policy);
-        if candidates.is_empty() {
-            return 0;
-        }
-        let gains = self.scan_map(&candidates, |probe, p| probe.delta(p));
-        // Canonical commit order: highest gain first, ties to the
-        // canonically smallest edge — the sequential argmax, repeated.
-        let mut order: Vec<usize> = (0..candidates.len()).collect();
-        order.sort_unstable_by_key(|&i| (Reverse(gains[i]), candidates[i]));
-
-        let mut accepted: Vec<(Edge, usize, Option<usize>, Option<usize>)> =
-            Vec::with_capacity(room);
-        let mut claimed: FastSet<InstanceId> = FastSet::default();
-        // `true` once a pick's gain set is unknown: nothing further can be
-        // proven disjoint, so the round degrades to sequential commits.
-        let mut opaque = false;
-        let mut conflict_budget = room * BATCH_CONFLICTS_PER_SLOT;
-        for &i in &order {
-            if accepted.len() >= room {
-                break;
-            }
-            let (p, gain) = (candidates[i], gains[i]);
-            if gain == 0 {
-                break; // order is gain-descending: everything left is 0
-            }
-            if accepted.is_empty() {
-                // The top pick is unconditionally correct — it is what the
-                // sequential round would commit.
-                if room > 1 {
-                    match self.oracle.gain_set(p) {
-                        Some(ids) => claimed.extend(ids),
-                        None => {
-                            opaque = true;
-                            if let Some(st) = self.obs.stats() {
-                                st.round.sequential_fallbacks.inc();
-                            }
-                        }
-                    }
-                }
-                accepted.push((p, gain, None, None));
-            } else {
-                if opaque {
-                    break;
-                }
-                match self.oracle.gain_set(p) {
-                    Some(ids) if ids.iter().all(|id| !claimed.contains(id)) => {
-                        claimed.extend(ids);
-                        accepted.push((p, gain, None, None));
-                    }
-                    // Conflict (or unknowable): skip for this round; the
-                    // candidate stays live and is rescored next round. A
-                    // bounded number of conflict probes keeps a
-                    // hub-dominated round from out-costing the sequential
-                    // rounds it replaces.
-                    _ => {
-                        if let Some(st) = self.obs.stats() {
-                            st.round.batch_conflicts.inc();
-                        }
-                        conflict_budget -= 1;
-                        if conflict_budget == 0 {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        if accepted.is_empty() {
-            return 0;
-        }
-        self.commit_accepted_batch(&accepted);
-        accepted.len()
-    }
-
-    /// Runs the same rounds as [`run_global`](Self::run_global) through a
-    /// CELF lazy queue (Leskovec et al. 2007): a candidate's cached gain
-    /// upper-bounds its current gain by submodularity, so most candidates
-    /// are never re-evaluated. The initial bound sweep is sharded across
-    /// the engine's threads; refreshes are sequential. Output is identical
-    /// to the eager loop for every oracle and thread count.
-    pub fn run_global_lazy(&mut self, k: usize) {
-        if k == 0 {
-            return;
-        }
-        let candidates = self.oracle.candidates(self.policy);
-        let gains = self.scan_map(&candidates, |probe, p| probe.delta(p));
-        // Max-heap of (cached_gain, Reverse(edge), round_evaluated):
-        // ordering by Reverse(edge) second pops the canonically smallest
-        // edge on gain ties — the linear scan's tie-break exactly.
-        let mut heap: BinaryHeap<(usize, Reverse<Edge>, usize)> = candidates
-            .into_iter()
-            .zip(gains)
-            .map(|(p, g)| (g, Reverse(p), 0usize))
-            .collect();
-        let mut round = 0usize;
-        while self.picks() < k {
-            let Some((cached, Reverse(p), evaluated_at)) = heap.pop() else {
-                break;
-            };
-            if cached == 0 {
-                break; // all remaining upper bounds are 0
-            }
-            if evaluated_at < round {
-                // Stale bound: refresh and reinsert. Submodularity
-                // guarantees fresh <= cached, so the heap stays sound.
-                let fresh = self.oracle.gain(p);
-                debug_assert!(fresh <= cached, "submodularity violated");
-                heap.push((fresh, Reverse(p), round));
-                continue;
-            }
-            let broken = self.commit_pick(p, None, None);
-            debug_assert_eq!(broken, cached);
-            round += 1;
-        }
-    }
-
-    /// The CELF + batch hybrid: the same lazy queue as
-    /// [`run_global_lazy`](Self::run_global_lazy), but each refresh phase
-    /// pops up to `j` **fresh** heap tops whose gain sets are pairwise
-    /// disjoint and commits them as one batch through
-    /// [`GainOracle::commit_batch`].
-    ///
-    /// A popped fresh top whose gain set conflicts with the accepted set
-    /// (or cannot be enumerated) is pushed back and the batch commits
-    /// early — the conflicting candidate falls back to sequential
-    /// re-evaluation in the next refresh phase, exactly like a stale
-    /// bound. Stale entries refresh against committed state as usual; the
-    /// round counter advances by the batch size at commit, so every cached
-    /// bound predating the batch is re-verified before it can win.
-    ///
-    /// Disjointness makes every accepted cached gain exact at commit
-    /// (the same argument as [`select_batch`](Self::select_batch)), and
-    /// `j = 1` delegates to the sequential lazy loop — bit-identical by
-    /// construction.
-    pub fn run_global_lazy_batch(&mut self, k: usize, j: usize) {
-        let j = j.max(1);
-        if j == 1 {
-            return self.run_global_lazy(k);
-        }
-        if k == 0 {
-            return;
-        }
-        let candidates = self.oracle.candidates(self.policy);
-        let gains = self.scan_map(&candidates, |probe, p| probe.delta(p));
-        let mut heap: BinaryHeap<(usize, Reverse<Edge>, usize)> = candidates
-            .into_iter()
-            .zip(gains)
-            .map(|(p, g)| (g, Reverse(p), 0usize))
-            .collect();
-        let mut round = 0usize;
-        while self.picks() < k {
-            let room = j.min(k - self.picks());
-            let mut accepted: Vec<(Edge, usize, Option<usize>, Option<usize>)> =
-                Vec::with_capacity(room);
-            let mut claimed: FastSet<InstanceId> = FastSet::default();
-            let mut opaque = false;
-            while accepted.len() < room {
-                let Some((cached, Reverse(p), evaluated_at)) = heap.pop() else {
-                    break;
-                };
-                if cached == 0 {
-                    break; // all remaining upper bounds are 0
-                }
-                if evaluated_at < round {
-                    let fresh = self.oracle.gain(p);
-                    debug_assert!(fresh <= cached, "submodularity violated");
-                    heap.push((fresh, Reverse(p), round));
-                    continue;
-                }
-                if accepted.is_empty() {
-                    // The fresh top is the exact sequential argmax.
-                    match self.oracle.gain_set(p) {
-                        Some(ids) => claimed.extend(ids),
-                        None => {
-                            opaque = true;
-                            if let Some(st) = self.obs.stats() {
-                                st.round.sequential_fallbacks.inc();
-                            }
-                        }
-                    }
-                    accepted.push((p, cached, None, None));
-                    continue;
-                }
-                if opaque {
-                    heap.push((cached, Reverse(p), evaluated_at));
-                    break;
-                }
-                match self.oracle.gain_set(p) {
-                    Some(ids) if ids.iter().all(|id| !claimed.contains(id)) => {
-                        claimed.extend(ids);
-                        accepted.push((p, cached, None, None));
-                    }
-                    // Conflict (or unknowable): push the top back and fall
-                    // back to sequential re-evaluation next refresh phase.
-                    _ => {
-                        if let Some(st) = self.obs.stats() {
-                            st.round.batch_conflicts.inc();
-                        }
-                        heap.push((cached, Reverse(p), evaluated_at));
-                        break;
-                    }
-                }
-            }
-            if accepted.is_empty() {
-                break;
-            }
-            self.commit_accepted_batch(&accepted);
-            round += accepted.len();
-        }
-    }
-
-    /// One CT/WT round: over candidates with any gain, commit the first
-    /// maximizer of lexicographic `(own, cross)` where `own` ranges over
-    /// the `open` targets (the smallest target id breaks own-level ties).
-    /// The pick is charged to its target. `None` when nothing breaks
-    /// anywhere — global exhaustion.
-    ///
-    /// # Panics
-    /// Panics unless `open` is strictly ascending and every id is a
-    /// target of the oracle.
-    pub fn select_for_targets(&mut self, open: &[usize]) -> Option<TargetedPick> {
-        if open.is_empty() {
-            return None;
-        }
-        let open = OpenTargets::new(open.iter().copied(), self.per_target.len());
-        self.select_for_open(&open)
-    }
-
-    /// [`select_for_targets`](Self::select_for_targets) over a validated
-    /// open set.
-    fn select_for_open(&mut self, open: &OpenTargets) -> Option<TargetedPick> {
-        let best = self.select_custom(
-            |probe, p| open.score(probe.delta_breakdown(p)),
-            |a, b| (a.own, a.cross) > (b.own, b.cross),
-        );
-        let (score, p) = best?;
-        let broken = self.commit_pick(p, Some(score.target), Some(score.own));
-        debug_assert_eq!(
-            broken,
-            score.own + score.cross,
-            "breakdown must match break"
-        );
-        Some(TargetedPick {
-            protector: p,
-            target: score.target,
-            own: score.own,
-            cross: score.cross,
-        })
-    }
-
-    /// One **batch-aware** CT/WT round: scans every candidate once and
-    /// commits up to `room` picks together. `open` lists the open targets
-    /// as `(target, remaining budget)` pairs in strictly ascending target
-    /// order (every `remaining >= 1`).
-    ///
-    /// Candidates are ordered by the canonical targeted score — `(own,
-    /// cross)` descending, ties to the smallest edge, each candidate
-    /// charged to the open target maximizing its `own` (the smallest such
-    /// target on ties) — and accepted greedily under
-    /// **per-charged-target disjointness**:
-    ///
-    /// * a pick's gain set (alive instances, [`GainOracle::gain_set`])
-    ///   must be disjoint from every already-accepted pick's, which keeps
-    ///   both components of every accepted `(own, cross)` split exact at
-    ///   commit (global disjointness alone is what makes SGB batches
-    ///   exact; targeted rounds additionally need the *per-target*
-    ///   decomposition of each set untouched, and disjoint sets guarantee
-    ///   exactly that);
-    /// * the picks charged to each target must fit its remaining budget —
-    ///   a candidate whose charged target is already full this round is
-    ///   skipped (it stays live and is rescored next round, when the
-    ///   closed target has left the open set).
-    ///
-    /// Accepted picks commit through one [`GainOracle::commit_batch`];
-    /// oracles that cannot enumerate gain sets degrade to one commit per
-    /// round. `room == 1` runs the
-    /// [`select_for_targets`](Self::select_for_targets) round —
-    /// bit-identical by construction. Returns the committed picks in
-    /// commit order (empty = global exhaustion: no candidate breaks
-    /// anything).
-    ///
-    /// # Panics
-    /// Panics unless the targets of `open` are strictly ascending and
-    /// every one is a target of the oracle.
-    pub fn select_for_targets_batch(
-        &mut self,
-        open: &[(usize, usize)],
-        room: usize,
-    ) -> Vec<TargetedPick> {
-        if open.is_empty() {
-            return Vec::new();
-        }
-        let open_targets = OpenTargets::new(open.iter().map(|&(t, _)| t), self.per_target.len());
-        match room {
-            0 => return Vec::new(),
-            // A batch of one *is* a sequential targeted round.
-            1 => return self.select_for_open(&open_targets).into_iter().collect(),
-            _ => {}
-        }
-        let candidates = self.oracle.candidates(self.policy);
-        if candidates.is_empty() {
-            return Vec::new();
-        }
-        let scored = self.scan_map(&candidates, |probe, p| {
-            open_targets.score(probe.delta_breakdown(p))
-        });
-        let mut order: Vec<usize> = (0..candidates.len())
-            .filter(|&i| scored[i].is_some())
-            .collect();
-        order.sort_unstable_by_key(|&i| {
-            let score = scored[i].expect("filtered to scored candidates");
-            (Reverse(score.own), Reverse(score.cross), candidates[i])
-        });
-
-        // Per-target room left this round, indexed by target id.
-        let mut budget_left = vec![0usize; self.per_target.len()];
-        for &(t, remaining) in open {
-            budget_left[t] = remaining;
-        }
-        let mut accepted: Vec<TargetedPick> = Vec::with_capacity(room);
-        let mut claimed: FastSet<InstanceId> = FastSet::default();
-        let mut opaque = false;
-        let mut conflict_budget = room * BATCH_CONFLICTS_PER_SLOT;
-        for &i in &order {
-            if accepted.len() >= room {
-                break;
-            }
-            let score = scored[i].expect("filtered to scored candidates");
-            let pick = TargetedPick {
-                protector: candidates[i],
-                target: score.target,
-                own: score.own,
-                cross: score.cross,
-            };
-            if budget_left[pick.target] == 0 {
-                continue; // target full this round: rescored next round
-            }
-            if accepted.is_empty() {
-                // The top pick is unconditionally the sequential round's.
-                match self.oracle.gain_set(pick.protector) {
-                    Some(ids) => claimed.extend(ids),
-                    None => {
-                        opaque = true;
-                        if let Some(st) = self.obs.stats() {
-                            st.round.sequential_fallbacks.inc();
-                        }
-                    }
-                }
-                budget_left[pick.target] -= 1;
-                accepted.push(pick);
-            } else {
-                if opaque {
-                    break;
-                }
-                match self.oracle.gain_set(pick.protector) {
-                    Some(ids) if ids.iter().all(|id| !claimed.contains(id)) => {
-                        claimed.extend(ids);
-                        budget_left[pick.target] -= 1;
-                        accepted.push(pick);
-                    }
-                    // Conflict: skip for this round only, under the same
-                    // bounded probe budget as the global batch round.
-                    _ => {
-                        if let Some(st) = self.obs.stats() {
-                            st.round.batch_conflicts.inc();
-                        }
-                        conflict_budget -= 1;
-                        if conflict_budget == 0 {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        if accepted.is_empty() {
-            return Vec::new();
-        }
-
-        let records: Vec<(Edge, usize, Option<usize>, Option<usize>)> = accepted
-            .iter()
-            .map(|pick| {
-                let broken = pick.own + pick.cross;
-                (pick.protector, broken, Some(pick.target), Some(pick.own))
-            })
-            .collect();
-        self.commit_accepted_batch(&records);
-        accepted
     }
 
     /// Finishes a global-budget run (SGB/CELF shape: no per-target
@@ -1315,33 +1251,49 @@ mod tests {
         }
     }
 
-    /// A two-target engine for the open-set precondition tests.
-    fn targeted_engine() -> RoundEngine<crate::oracle::IndexOracle> {
+    /// Runs `round` on a two-target engine (the open-set precondition
+    /// tests).
+    fn with_targeted_engine(round: impl FnOnce(&mut RoundEngine<crate::oracle::IndexOracle<'_>>)) {
         let mut g = tpp_graph::Graph::from_edges([(0u32, 1u32), (0, 2), (0, 3), (3, 1), (3, 2)]);
         let targets = [Edge::new(0, 1), Edge::new(0, 2)];
         for t in &targets {
             g.remove_edge(t.u(), t.v());
         }
-        let oracle = crate::oracle::IndexOracle::new(&g, &targets, tpp_motif::Motif::Triangle);
-        RoundEngine::new(oracle, CandidatePolicy::SubgraphEdges, 1)
+        let oracle = crate::oracle::IndexOracle::new(
+            &g,
+            &targets,
+            tpp_motif::Motif::Triangle,
+            &Parallelism::sequential(),
+        );
+        round(&mut RoundEngine::new(
+            oracle,
+            CandidatePolicy::SubgraphEdges,
+            1,
+        ));
     }
 
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn descending_open_targets_are_rejected() {
-        let _ = targeted_engine().select_for_targets(&[1, 0]);
+        with_targeted_engine(|engine| {
+            engine.select_for_targets(&[(1, 1), (0, 1)], 1);
+        });
     }
 
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn descending_open_targets_are_rejected_by_batch_rounds() {
-        let _ = targeted_engine().select_for_targets_batch(&[(1, 1), (0, 1)], 2);
+        with_targeted_engine(|engine| {
+            engine.select_for_targets(&[(1, 1), (0, 1)], 2);
+        });
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_open_targets_are_rejected() {
-        let _ = targeted_engine().select_for_targets(&[0, 2]);
+        with_targeted_engine(|engine| {
+            engine.select_for_targets(&[(0, 1), (2, 1)], 1);
+        });
     }
 
     #[test]

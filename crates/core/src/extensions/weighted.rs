@@ -14,8 +14,8 @@
 //! * [`weighted_celf_greedy_batch`] — the CELF + batch hybrid over
 //!   **integer** weights: a [`WeightedIndexOracle`] makes the weighted
 //!   mass the oracle's native gain, so the engine's
-//!   [`RoundEngine::run_global_lazy_batch`] (lazy queue, up to `j`
-//!   disjoint commits per refresh phase) applies unchanged. Integer
+//!   [`RoundEngine::run_global_lazy`] (lazy queue, up to `j` disjoint
+//!   commits per refresh phase) applies unchanged. Integer
 //!   weights keep every cached bound exact — no epsilon comparisons in
 //!   the heap — which is what makes the `j = 1` path bit-identical to
 //!   the eager weighted greedy (pinned by proptest below).
@@ -56,11 +56,8 @@ pub fn weighted_sgb_greedy(
         weights.iter().all(|w| w.is_finite() && *w >= 0.0),
         "weights must be finite and non-negative"
     );
-    let mut engine = RoundEngine::new(
-        IndexOracle::new(instance.released(), instance.targets(), motif),
-        CandidatePolicy::SubgraphEdges,
-        1,
-    );
+    let oracle = IndexOracle::from_prebuilt(instance.build_index(motif), instance.released());
+    let mut engine = RoundEngine::new(oracle, CandidatePolicy::SubgraphEdges, 1);
     while engine.picks() < k {
         let pick = engine.select_custom(
             |probe, p| {
@@ -94,7 +91,7 @@ pub fn weighted_sgb_greedy(
 /// Making the weighted mass the oracle's native gain is what unlocks the
 /// engine's whole strategy surface for the weighted extension — in
 /// particular the CELF lazy queue and its batch hybrid
-/// ([`RoundEngine::run_global_lazy_batch`]): a positively weighted sum of
+/// ([`RoundEngine::run_global_lazy`]): a positively weighted sum of
 /// monotone submodular functions is monotone submodular, so cached
 /// weighted gains upper-bound fresh ones exactly as CELF requires, and
 /// integer arithmetic keeps every heap comparison exact.
@@ -108,14 +105,14 @@ pub fn weighted_sgb_greedy(
 /// contribution but never change *which* instances a deletion breaks, so
 /// disjointness — and therefore exactness of accepted batch gains — is
 /// the unweighted test verbatim.
-pub struct WeightedIndexOracle {
-    inner: IndexOracle,
+pub struct WeightedIndexOracle<'a> {
+    inner: IndexOracle<'a>,
     weights: Vec<usize>,
     /// Scratch behind [`GainOracle::gain_breakdown`].
     breakdown: Vec<(usize, usize)>,
 }
 
-impl WeightedIndexOracle {
+impl<'a> WeightedIndexOracle<'a> {
     /// Builds the oracle over the released graph (sequential index
     /// build). `weights[t]` is the integer importance of target `t`.
     ///
@@ -123,7 +120,7 @@ impl WeightedIndexOracle {
     /// Panics if `weights.len() != targets.len()`.
     #[must_use]
     pub fn new(
-        released: &tpp_graph::Graph,
+        released: &'a tpp_graph::Graph,
         targets: &[Edge],
         motif: Motif,
         weights: &[usize],
@@ -144,7 +141,7 @@ impl WeightedIndexOracle {
     /// Panics if `weights.len() != targets.len()`.
     #[must_use]
     pub fn with_parallelism(
-        released: &tpp_graph::Graph,
+        released: &'a tpp_graph::Graph,
         targets: &[Edge],
         motif: Motif,
         weights: &[usize],
@@ -156,13 +153,7 @@ impl WeightedIndexOracle {
             "one weight per target required"
         );
         WeightedIndexOracle {
-            inner: IndexOracle::with_partitions_on(
-                released,
-                targets,
-                motif,
-                crate::oracle::DEFAULT_INDEX_PARTITIONS,
-                exec,
-            ),
+            inner: IndexOracle::new(released, targets, motif, exec),
             weights: weights.to_vec(),
             breakdown: Vec::new(),
         }
@@ -213,14 +204,10 @@ impl GainProbe for WeightedProbe<'_> {
     }
 }
 
-impl GainOracle for WeightedIndexOracle {
+impl GainOracle for WeightedIndexOracle<'_> {
     fn total_similarity(&self) -> usize {
         let similarities = self.inner.index().similarities();
         weighted_mass(similarities.iter().copied().enumerate(), &self.weights)
-    }
-
-    fn target_similarity(&self, target_idx: usize) -> usize {
-        self.weights[target_idx] * self.inner.index().target_similarity(target_idx)
     }
 
     fn gain(&mut self, p: Edge) -> usize {
@@ -283,7 +270,7 @@ impl GainOracle for WeightedIndexOracle {
 }
 
 /// The **batch-aware weighted CELF**: runs the CELF + batch hybrid
-/// ([`RoundEngine::run_global_lazy_batch`]) over a
+/// ([`RoundEngine::run_global_lazy`]) over a
 /// [`WeightedIndexOracle`] — each lazy refresh phase pops up to `j` fresh
 /// heap tops with pairwise-disjoint gain sets and commits them together;
 /// a conflicting top falls back to sequential re-evaluation.
@@ -317,7 +304,7 @@ pub fn weighted_celf_greedy_batch(
         &exec,
     );
     let mut engine = RoundEngine::with_parallelism(oracle, CandidatePolicy::SubgraphEdges, exec);
-    engine.run_global_lazy_batch(k, j);
+    engine.run_global_lazy(k, j);
     engine.into_global_plan(AlgorithmKind::CelfGreedy)
 }
 
@@ -389,7 +376,7 @@ mod tests {
     }
 
     /// The eager reference the batch hybrid's `j = 1` path must reproduce
-    /// bit-for-bit: plain `run_global` rounds over the same weighted
+    /// bit-for-bit: plain `run_global(k, 1)` rounds over the same weighted
     /// oracle.
     fn eager_weighted(
         instance: &TppInstance,
@@ -400,7 +387,7 @@ mod tests {
         let oracle =
             WeightedIndexOracle::new(instance.released(), instance.targets(), motif, weights);
         let mut engine = RoundEngine::new(oracle, CandidatePolicy::SubgraphEdges, 1);
-        engine.run_global(k);
+        engine.run_global(k, 1);
         engine.into_global_plan(AlgorithmKind::CelfGreedy)
     }
 

@@ -1,11 +1,17 @@
 //! Gain oracles: how the greedy algorithms evaluate `Δ_p`.
 //!
-//! Two implementations back the same greedy loops:
+//! Three implementations back the same greedy loops, and [`AnyOracle`]
+//! picks one per [`GreedyConfig`](crate::GreedyConfig). The
+//! [`GainOracle`] contract is exactly what the
+//! [`RoundEngine`](crate::RoundEngine) calls: similarities, gains and
+//! their per-target breakdowns, candidates, commits, gain sets for batch
+//! admission, and per-worker probes.
 //!
 //! * [`IndexOracle`] — the scalable path: a [`PartitionedCoverageIndex`]
-//!   built once, with incremental shard-parallel deletion. Candidate edges
-//!   can be restricted to target-subgraph edges (Lemma 5), giving the
-//!   paper's `-R` algorithms.
+//!   built once, with incremental shard-parallel deletion, over the
+//!   borrowed released graph (never copied). Candidate edges can be
+//!   restricted to target-subgraph edges (Lemma 5), giving the paper's
+//!   `-R` algorithms.
 //! * [`NaiveOracle`] — the paper-faithful plain path: every gain is a fresh
 //!   motif recount on a scratch graph (delete, recount all targets, restore).
 //!   This is what makes the plain algorithms ~20× slower in Fig. 5 and
@@ -18,7 +24,7 @@
 //!   immutable snapshot can back many concurrent evaluations.
 
 use tpp_exec::Parallelism;
-use tpp_graph::{Edge, Graph, NeighborAccess};
+use tpp_graph::{Edge, FastSet, Graph, NeighborAccess};
 use tpp_motif::{count_target_subgraphs, InstanceId, Motif, PartitionedCoverageIndex};
 use tpp_store::DeltaView;
 
@@ -37,21 +43,8 @@ pub enum CandidatePolicy {
 pub trait GainOracle {
     /// Current total similarity `s(P, T)`.
     fn total_similarity(&self) -> usize;
-    /// Current similarity of one target.
-    fn target_similarity(&self, target_idx: usize) -> usize;
     /// `Δ_p`: total instances a deletion of `p` would break right now.
     fn gain(&mut self, p: Edge) -> usize;
-    /// `(own, cross)` split of `Δ_p` relative to `target_idx`. The
-    /// default derives it from [`GainOracle::gain_breakdown`]; oracles with
-    /// a cheaper direct path (the coverage index) override it.
-    fn gain_split(&mut self, p: Edge, target_idx: usize) -> (usize, usize) {
-        let breakdown = self.gain_breakdown(p);
-        let total: usize = breakdown.iter().map(|&(_, broken)| broken).sum();
-        let own = breakdown
-            .binary_search_by_key(&target_idx, |&(t, _)| t)
-            .map_or(0, |i| breakdown[i].1);
-        (own, total - own)
-    }
     /// Sparse per-target breakdown of `Δ_p`: one `(target, broken)` pair
     /// for every target that deleting `p` would cost at least one
     /// instance, **ascending by target, nonzero counts only** — targets
@@ -66,15 +59,6 @@ pub trait GainOracle {
     fn candidates(&self, policy: CandidatePolicy) -> Vec<Edge>;
     /// Permanently deletes `p`; returns the realized gain.
     fn commit(&mut self, p: Edge) -> usize;
-    /// Applies an edge **insertion** to the oracle's committed state (a
-    /// graph-delta addition, the mirror of [`commit`](Self::commit));
-    /// returns the similarity increase. `e` must be absent and must not be
-    /// a target. Oracles without an insertion path keep the default, which
-    /// panics — the incremental re-protection flow only drives oracles
-    /// that override it.
-    fn insert_edge(&mut self, e: Edge) -> usize {
-        panic!("this oracle does not support edge insertion ({e})");
-    }
     /// Permanently deletes a batch of edges; returns the per-edge realized
     /// gains in input order. The default commits sequentially; oracles with
     /// a partition-parallel index override it with one shard-parallel
@@ -168,56 +152,37 @@ impl GainProbe for IndexProbe<'_> {
 /// shard-parallel commit phase to scale when threads are available.
 pub const DEFAULT_INDEX_PARTITIONS: usize = 8;
 
-/// Incremental oracle over a [`PartitionedCoverageIndex`] plus a mutable
-/// graph copy (the graph copy keeps `AllEdges` candidate sets accurate).
-/// Commits are shard-parallel: a deletion updates only the index partitions
-/// containing edges of the broken instances.
-pub struct IndexOracle {
+/// Incremental oracle over a [`PartitionedCoverageIndex`] and the
+/// borrowed released graph. Commits are shard-parallel: a deletion updates
+/// only the index partitions containing edges of the broken instances.
+/// The graph is never copied; `AllEdges` candidates are its edges minus
+/// the committed deletions.
+pub struct IndexOracle<'a> {
     index: PartitionedCoverageIndex,
-    graph: Graph,
+    released: &'a Graph,
+    /// Edges committed so far (read only by `AllEdges` candidate lists).
+    deleted: FastSet<Edge>,
     /// Scratch behind [`GainOracle::gain_breakdown`].
     breakdown: Vec<(usize, usize)>,
 }
 
-impl IndexOracle {
-    /// Builds the oracle from the released graph and targets, with
-    /// [`DEFAULT_INDEX_PARTITIONS`] index partitions.
+impl<'a> IndexOracle<'a> {
+    /// Builds the oracle from the released graph and targets with
+    /// [`DEFAULT_INDEX_PARTITIONS`] index partitions, shard-parallel on
+    /// `exec` ([`PartitionedCoverageIndex::build_parallel`] — targets
+    /// enumerate directly into per-shard postings), bit-identical to a
+    /// sequential build at every executor width. The handle carries over
+    /// to the commit phase (until the engine overrides it).
     #[must_use]
-    pub fn new(released: &Graph, targets: &[Edge], motif: Motif) -> Self {
-        Self::with_partitions(released, targets, motif, DEFAULT_INDEX_PARTITIONS)
-    }
-
-    /// Builds the oracle with an explicit partition count (a pure
-    /// performance knob: plans are bit-identical for every value).
-    ///
-    /// # Panics
-    /// Panics if `parts == 0`.
-    #[must_use]
-    pub fn with_partitions(released: &Graph, targets: &[Edge], motif: Motif, parts: usize) -> Self {
-        Self::with_partitions_on(released, targets, motif, parts, &Parallelism::sequential())
-    }
-
-    /// Builds the oracle with an explicit partition count on a shared
-    /// executor: the index is built **shard-parallel**
-    /// ([`PartitionedCoverageIndex::build_parallel`] — targets enumerate
-    /// directly into per-shard postings), bit-identical to the sequential
-    /// build for every `parts` value and executor width. The handle
-    /// carries over to the commit phase (until the engine overrides it).
-    ///
-    /// # Panics
-    /// Panics if `parts == 0`.
-    #[must_use]
-    pub fn with_partitions_on(
-        released: &Graph,
-        targets: &[Edge],
-        motif: Motif,
-        parts: usize,
-        exec: &Parallelism,
-    ) -> Self {
-        Self::from_prebuilt(
-            PartitionedCoverageIndex::build_parallel(released, targets, motif, parts, exec),
+    pub fn new(released: &'a Graph, targets: &[Edge], motif: Motif, exec: &Parallelism) -> Self {
+        let index = PartitionedCoverageIndex::build_parallel(
             released,
-        )
+            targets,
+            motif,
+            DEFAULT_INDEX_PARTITIONS,
+            exec,
+        );
+        Self::from_prebuilt(index, released)
     }
 
     /// Wraps an already-built index (a warm clone from a serve registry)
@@ -225,10 +190,11 @@ impl IndexOracle {
     /// over `released` with the run's motif and targets; a deterministic
     /// build means the clone behaves bit-identically to a fresh build.
     #[must_use]
-    pub fn from_prebuilt(index: PartitionedCoverageIndex, released: &Graph) -> Self {
+    pub fn from_prebuilt(index: PartitionedCoverageIndex, released: &'a Graph) -> Self {
         IndexOracle {
             index,
-            graph: released.clone(),
+            released,
+            deleted: FastSet::default(),
             breakdown: Vec::new(),
         }
     }
@@ -239,29 +205,15 @@ impl IndexOracle {
     pub fn index(&self) -> &PartitionedCoverageIndex {
         &self.index
     }
-
-    /// The graph with all committed deletions applied.
-    #[must_use]
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
 }
 
-impl GainOracle for IndexOracle {
+impl GainOracle for IndexOracle<'_> {
     fn total_similarity(&self) -> usize {
         self.index.total_similarity()
     }
 
-    fn target_similarity(&self, target_idx: usize) -> usize {
-        self.index.target_similarity(target_idx)
-    }
-
     fn gain(&mut self, p: Edge) -> usize {
         self.index.gain(p)
-    }
-
-    fn gain_split(&mut self, p: Edge, target_idx: usize) -> (usize, usize) {
-        self.index.gain_split(p, target_idx)
     }
 
     fn gain_breakdown(&mut self, p: Edge) -> &[(usize, usize)] {
@@ -271,26 +223,23 @@ impl GainOracle for IndexOracle {
 
     fn candidates(&self, policy: CandidatePolicy) -> Vec<Edge> {
         match policy {
-            CandidatePolicy::AllEdges => self.graph.edge_vec(),
+            CandidatePolicy::AllEdges => {
+                let mut edges = self.released.edge_vec();
+                edges.retain(|e| !self.deleted.contains(e));
+                edges
+            }
             CandidatePolicy::SubgraphEdges => self.index.alive_candidate_edges(),
         }
     }
 
     fn commit(&mut self, p: Edge) -> usize {
-        self.graph.remove_edge(p.u(), p.v());
+        self.deleted.insert(p);
         self.index.delete_edge(p)
     }
 
     fn commit_batch(&mut self, edges: &[Edge]) -> Vec<usize> {
-        for e in edges {
-            self.graph.remove_edge(e.u(), e.v());
-        }
+        self.deleted.extend(edges.iter().copied());
         self.index.delete_edges(edges)
-    }
-
-    fn insert_edge(&mut self, e: Edge) -> usize {
-        self.graph.add_edge(e.u(), e.v());
-        self.index.insert_edge(&self.graph, e)
     }
 
     fn gain_set(&mut self, p: Edge) -> Option<Vec<InstanceId>> {
@@ -314,8 +263,9 @@ impl GainOracle for IndexOracle {
 
     fn candidate_weight(&self, p: Edge) -> usize {
         // Index gains walk the instance lists of p's endpoints — degree is
-        // the cheap proxy for that list mass.
-        self.graph.degree(p.u()) + self.graph.degree(p.v()) + 1
+        // the cheap proxy for that list mass. Released degrees ignore the
+        // committed deletions; weights only schedule scan spans.
+        self.released.degree(p.u()) + self.released.degree(p.v()) + 1
     }
 }
 
@@ -342,26 +292,14 @@ impl NaiveOracle {
             breakdown: Vec::new(),
         }
     }
-
-    fn similarity_of(&self, target_idx: usize) -> usize {
-        let t = self.targets[target_idx];
-        count_target_subgraphs(&self.graph, t.u(), t.v(), self.motif)
-    }
-
-    /// The graph with all committed deletions applied.
-    #[must_use]
-    pub fn graph(&self) -> &Graph {
-        &self.graph
-    }
 }
 
 impl GainOracle for NaiveOracle {
     fn total_similarity(&self) -> usize {
-        (0..self.targets.len()).map(|i| self.similarity_of(i)).sum()
-    }
-
-    fn target_similarity(&self, target_idx: usize) -> usize {
-        self.similarity_of(target_idx)
+        self.targets
+            .iter()
+            .map(|t| count_target_subgraphs(&self.graph, t.u(), t.v(), self.motif))
+            .sum()
     }
 
     fn gain(&mut self, p: Edge) -> usize {
@@ -408,12 +346,6 @@ impl GainOracle for NaiveOracle {
         let before = self.total_similarity();
         self.graph.remove_edge(p.u(), p.v());
         before - self.total_similarity()
-    }
-
-    fn insert_edge(&mut self, e: Edge) -> usize {
-        let before = self.total_similarity();
-        self.graph.add_edge(e.u(), e.v());
-        self.total_similarity() - before
     }
 
     fn target_count(&self) -> usize {
@@ -527,10 +459,6 @@ impl<B: NeighborAccess> GainOracle for SnapshotOracle<'_, B> {
         self.current_total
     }
 
-    fn target_similarity(&self, target_idx: usize) -> usize {
-        self.current_per_target[target_idx]
-    }
-
     fn gain(&mut self, p: Edge) -> usize {
         if !self.view.delete_edge(p) {
             return 0;
@@ -577,17 +505,6 @@ impl<B: NeighborAccess> GainOracle for SnapshotOracle<'_, B> {
         broken
     }
 
-    fn insert_edge(&mut self, e: Edge) -> usize {
-        if !self.view.add_edge(e) {
-            return 0;
-        }
-        self.current_per_target = count_each(&self.view, &self.targets, self.motif);
-        let after: usize = self.current_per_target.iter().sum();
-        let gained = after - self.current_total;
-        self.current_total = after;
-        gained
-    }
-
     fn target_count(&self) -> usize {
         self.targets.len()
     }
@@ -604,7 +521,7 @@ impl<B: NeighborAccess> GainOracle for SnapshotOracle<'_, B> {
 /// round engine instead of triplicating its evaluator dispatch.
 pub enum AnyOracle<'a> {
     /// Incremental coverage index ([`EvaluatorKind::Index`](crate::EvaluatorKind::Index)).
-    Index(IndexOracle),
+    Index(IndexOracle<'a>),
     /// Plain recount on a scratch clone
     /// ([`EvaluatorKind::NaiveRecount`](crate::EvaluatorKind::NaiveRecount)).
     Naive(NaiveOracle),
@@ -634,13 +551,7 @@ impl<'a> AnyOracle<'a> {
                 // fresh on the shared executor.
                 let oracle = match config.index_seed.clone_matching(config.motif, targets) {
                     Some(index) => IndexOracle::from_prebuilt(index, released),
-                    None => IndexOracle::with_partitions_on(
-                        released,
-                        targets,
-                        config.motif,
-                        DEFAULT_INDEX_PARTITIONS,
-                        exec,
-                    ),
+                    None => IndexOracle::new(released, targets, config.motif, exec),
                 };
                 AnyOracle::Index(oracle)
             }
@@ -669,16 +580,8 @@ impl GainOracle for AnyOracle<'_> {
         any_oracle_delegate!(self, o => o.total_similarity())
     }
 
-    fn target_similarity(&self, target_idx: usize) -> usize {
-        any_oracle_delegate!(self, o => o.target_similarity(target_idx))
-    }
-
     fn gain(&mut self, p: Edge) -> usize {
         any_oracle_delegate!(self, o => GainOracle::gain(o, p))
-    }
-
-    fn gain_split(&mut self, p: Edge, target_idx: usize) -> (usize, usize) {
-        any_oracle_delegate!(self, o => o.gain_split(p, target_idx))
     }
 
     fn gain_breakdown(&mut self, p: Edge) -> &[(usize, usize)] {
@@ -695,10 +598,6 @@ impl GainOracle for AnyOracle<'_> {
 
     fn commit_batch(&mut self, edges: &[Edge]) -> Vec<usize> {
         any_oracle_delegate!(self, o => o.commit_batch(edges))
-    }
-
-    fn insert_edge(&mut self, e: Edge) -> usize {
-        any_oracle_delegate!(self, o => o.insert_edge(e))
     }
 
     fn gain_set(&mut self, p: Edge) -> Option<Vec<InstanceId>> {
@@ -727,39 +626,47 @@ mod tests {
     use super::*;
     use tpp_graph::generators::erdos_renyi_gnp;
 
-    fn fixture(motif: Motif) -> (Graph, Vec<Edge>, IndexOracle, NaiveOracle) {
+    /// A released graph (targets removed) and its three targets.
+    fn fixture() -> (Graph, Vec<Edge>) {
         let mut g = erdos_renyi_gnp(24, 0.25, 5);
         let targets = vec![Edge::new(0, 1), Edge::new(2, 3), Edge::new(4, 5)];
         for t in &targets {
             g.remove_edge(t.u(), t.v());
         }
-        let idx = IndexOracle::new(&g, &targets, motif);
-        let naive = NaiveOracle::new(&g, &targets, motif);
-        (g, targets, idx, naive)
+        (g, targets)
+    }
+
+    fn index_oracle<'a>(g: &'a Graph, targets: &[Edge], motif: Motif) -> IndexOracle<'a> {
+        IndexOracle::new(g, targets, motif, &Parallelism::sequential())
+    }
+
+    /// `(own, cross)` of a sparse breakdown relative to target `t`.
+    fn split(breakdown: &[(usize, usize)], t: usize) -> (usize, usize) {
+        let total: usize = breakdown.iter().map(|&(_, broken)| broken).sum();
+        let own = breakdown
+            .iter()
+            .find(|&&(target, _)| target == t)
+            .map_or(0, |&(_, broken)| broken);
+        (own, total - own)
     }
 
     #[test]
     fn oracles_agree_on_everything() {
         for motif in Motif::ALL {
-            let (_, targets, mut idx, mut naive) = fixture(motif);
+            let (g, targets) = fixture();
+            let mut idx = index_oracle(&g, &targets, motif);
+            let mut naive = NaiveOracle::new(&g, &targets, motif);
             assert_eq!(idx.total_similarity(), naive.total_similarity());
             let cands = idx.candidates(CandidatePolicy::SubgraphEdges);
             assert_eq!(cands, naive.candidates(CandidatePolicy::SubgraphEdges));
             for &p in cands.iter().take(12) {
                 assert_eq!(idx.gain(p), naive.gain(p), "{motif} gain({p})");
                 let breakdown = idx.gain_breakdown(p).to_vec();
-                assert_eq!(breakdown, naive.gain_breakdown(p));
+                assert_eq!(breakdown, naive.gain_breakdown(p), "{motif} breakdown({p})");
                 assert_eq!(
                     breakdown.iter().map(|&(_, broken)| broken).sum::<usize>(),
                     idx.gain(p)
                 );
-                for t in 0..targets.len() {
-                    assert_eq!(
-                        idx.gain_split(p, t),
-                        naive.gain_split(p, t),
-                        "{motif} split({p}, {t})"
-                    );
-                }
             }
             // Commit a few deletions and re-check agreement.
             for &p in cands.iter().take(3) {
@@ -771,21 +678,30 @@ mod tests {
 
     #[test]
     fn gain_split_sums_to_gain() {
-        let (_, _, mut idx, _) = fixture(Motif::Triangle);
+        let (g, targets) = fixture();
+        let mut idx = index_oracle(&g, &targets, Motif::Triangle);
         for p in idx.candidates(CandidatePolicy::SubgraphEdges) {
             let total = idx.gain(p);
+            let breakdown = idx.gain_breakdown(p).to_vec();
+            assert!(breakdown.windows(2).all(|w| w[0].0 < w[1].0), "ascending");
+            assert!(breakdown.iter().all(|&(_, broken)| broken > 0), "nonzero");
             let split_sum: usize = (0..idx.target_count())
-                .map(|t| idx.gain_split(p, t).0)
+                .map(|t| split(&breakdown, t).0)
                 .sum();
             assert_eq!(total, split_sum);
-            let (own, cross) = idx.gain_split(p, 0);
+            let (own, cross) = split(&breakdown, 0);
             assert_eq!(own + cross, total);
+            assert!(
+                own <= idx.index().target_similarity(0),
+                "own bounded by s(P, t0)"
+            );
         }
     }
 
     #[test]
     fn all_edges_policy_includes_zero_gain_edges() {
-        let (g, _, idx, _) = fixture(Motif::Triangle);
+        let (g, targets) = fixture();
+        let idx = index_oracle(&g, &targets, Motif::Triangle);
         let all = idx.candidates(CandidatePolicy::AllEdges);
         let restricted = idx.candidates(CandidatePolicy::SubgraphEdges);
         assert_eq!(all.len(), g.edge_count());
@@ -797,20 +713,33 @@ mod tests {
 
     #[test]
     fn committed_edges_leave_candidates() {
-        let (_, _, mut idx, _) = fixture(Motif::Triangle);
+        let (g, targets) = fixture();
+        let mut idx = index_oracle(&g, &targets, Motif::Triangle);
         let all_before = idx.candidates(CandidatePolicy::AllEdges).len();
-        let p = idx.candidates(CandidatePolicy::SubgraphEdges)[0];
-        idx.commit(p);
+        let cands = idx.candidates(CandidatePolicy::SubgraphEdges);
+        idx.commit(cands[0]);
         let all_after = idx.candidates(CandidatePolicy::AllEdges);
         assert_eq!(all_after.len(), all_before - 1);
-        assert!(!all_after.contains(&p));
-        assert!(!idx.candidates(CandidatePolicy::SubgraphEdges).contains(&p));
+        assert!(!all_after.contains(&cands[0]));
+        assert!(!idx
+            .candidates(CandidatePolicy::SubgraphEdges)
+            .contains(&cands[0]));
+        // Batch commits leave the all-edges list too, and the borrowed
+        // released graph itself is never touched.
+        idx.commit_batch(&cands[1..3]);
+        let all_batch = idx.candidates(CandidatePolicy::AllEdges);
+        assert_eq!(all_batch.len(), all_before - 3);
+        assert!(cands[..3].iter().all(|p| !all_batch.contains(p)));
+        assert!(all_batch.is_sorted());
+        assert_eq!(g.edge_count(), all_before);
     }
 
     #[test]
     fn snapshot_oracle_agrees_with_both_paths() {
         for motif in Motif::ALL {
-            let (g, targets, mut idx, mut naive) = fixture(motif);
+            let (g, targets) = fixture();
+            let mut idx = index_oracle(&g, &targets, motif);
+            let mut naive = NaiveOracle::new(&g, &targets, motif);
             let csr = tpp_store::CsrGraph::from_graph(&g);
             let mut snap_graph = SnapshotOracle::new(&g, &targets, motif);
             let mut snap_csr = SnapshotOracle::new(&csr, &targets, motif);
@@ -826,10 +755,9 @@ mod tests {
             for &p in cands.iter().take(10) {
                 assert_eq!(idx.gain(p), snap_graph.gain(p), "{motif} gain({p})");
                 assert_eq!(idx.gain(p), snap_csr.gain(p), "{motif} csr gain({p})");
-                assert_eq!(idx.gain_breakdown(p).to_vec(), snap_csr.gain_breakdown(p));
-                for t in 0..targets.len() {
-                    assert_eq!(idx.gain_split(p, t), snap_csr.gain_split(p, t));
-                }
+                let breakdown = idx.gain_breakdown(p).to_vec();
+                assert_eq!(breakdown, snap_csr.gain_breakdown(p));
+                assert_eq!(breakdown, snap_graph.gain_breakdown(p));
             }
             for &p in cands.iter().take(3) {
                 let broken = idx.commit(p);
@@ -845,7 +773,7 @@ mod tests {
 
     #[test]
     fn snapshot_oracle_gain_on_missing_edge_is_zero() {
-        let (g, targets, _, _) = fixture(Motif::Triangle);
+        let (g, targets) = fixture();
         let csr = tpp_store::CsrGraph::from_graph(&g);
         let mut snap = SnapshotOracle::new(&csr, &targets, Motif::Triangle);
         // Find a guaranteed-absent pair so the assertions always execute.
@@ -860,9 +788,9 @@ mod tests {
 
     #[test]
     fn naive_gain_on_missing_edge_is_zero() {
-        let (_, _, _, mut naive) = fixture(Motif::Triangle);
+        let (g, targets) = fixture();
+        let mut naive = NaiveOracle::new(&g, &targets, Motif::Triangle);
         assert_eq!(naive.gain(Edge::new(0, 1)), 0, "target edge absent");
-        assert_eq!(naive.gain_split(Edge::new(0, 1), 0), (0, 0));
         assert!(naive.gain_breakdown(Edge::new(0, 1)).is_empty());
     }
 }

@@ -7,8 +7,8 @@ use tpp_bench::fixtures::er_instance;
 use tpp_core::{
     celf_greedy, celf_greedy_batch, critical_budget, ct_greedy, ct_greedy_batch, delta_dirty_edges,
     divide_budget, random_deletion, random_deletion_from_subgraphs, sgb_greedy, sgb_greedy_batch,
-    sgb_greedy_incremental, verify_plan, wt_greedy, wt_greedy_batch, BudgetDivision, EvaluatorKind,
-    GreedyConfig, ObsConfig, TppInstance,
+    sgb_greedy_incremental, verify_plan, wt_greedy, wt_greedy_batch, AlgorithmKind, BudgetDivision,
+    EvaluatorKind, GreedyConfig, ObsConfig, ProtectionPlan, RoundEngine, TppInstance,
 };
 use tpp_graph::{Edge, FastSet};
 use tpp_motif::Motif;
@@ -184,6 +184,87 @@ fn evaluator_configs(motif: Motif) -> [GreedyConfig; 3] {
     ]
 }
 
+/// Sequential SGB rounds driven through the engine's bring-your-own-score
+/// primitives (`select_custom` + `commit_pick`) instead of `run_global`:
+/// the reference the `j = 1` strategy paths must reproduce.
+fn reference_sgb(instance: &TppInstance, k: usize, cfg: &GreedyConfig) -> ProtectionPlan {
+    let mut engine = RoundEngine::for_config(instance, cfg);
+    while engine.picks() < k {
+        let best = engine.select_custom(|probe, p| Some(probe.delta(p)), |a, b| a > b);
+        let Some((gain, p)) = best.filter(|&(gain, _)| gain > 0) else {
+            break;
+        };
+        assert_eq!(engine.commit_pick(p, None, None), gain);
+    }
+    engine.into_global_plan(AlgorithmKind::SgbGreedy)
+}
+
+/// The paper's CT/WT score over a dense per-target gain vector: the first
+/// `open` target maximizing lexicographic `(own, cross)`, as
+/// `(own, cross, target)`. `None` when the candidate breaks nothing.
+fn dense_targeted_score(
+    breakdown: &[(usize, usize)],
+    open: &[usize],
+) -> Option<(usize, usize, usize)> {
+    let total: usize = breakdown.iter().map(|&(_, broken)| broken).sum();
+    if total == 0 {
+        return None;
+    }
+    let mut best: Option<(usize, usize, usize)> = None;
+    for &t in open {
+        let own = breakdown
+            .iter()
+            .find(|&&(bt, _)| bt == t)
+            .map_or(0, |&(_, c)| c);
+        if best.is_none_or(|(bo, bc, _)| (own, total - own) > (bo, bc)) {
+            best = Some((own, total - own, t));
+        }
+    }
+    best
+}
+
+/// Sequential CT (`within_target = false`) or WT rounds driven through
+/// `select_custom` + `commit_pick` with [`dense_targeted_score`]: the
+/// reference the `j = 1` targeted rounds must reproduce.
+fn reference_targeted(
+    instance: &TppInstance,
+    budgets: &[usize],
+    cfg: &GreedyConfig,
+    within_target: bool,
+) -> ProtectionPlan {
+    let mut engine = RoundEngine::for_config(instance, cfg);
+    let round = |engine: &mut RoundEngine<_>, open: &[usize]| {
+        let best = engine.select_custom(
+            |probe, p| dense_targeted_score(probe.delta_breakdown(p), open),
+            |a, b| (a.0, a.1) > (b.0, b.1),
+        );
+        let Some(((own, cross, t), p)) = best else {
+            return false;
+        };
+        assert_eq!(engine.commit_pick(p, Some(t), Some(own)), own + cross);
+        true
+    };
+    if within_target {
+        'targets: for (t, &budget) in budgets.iter().enumerate() {
+            while engine.charged(t) < budget {
+                if !round(&mut engine, &[t]) {
+                    break 'targets;
+                }
+            }
+        }
+        return engine.into_targeted_plan(AlgorithmKind::WtGreedy);
+    }
+    loop {
+        let open: Vec<usize> = (0..budgets.len())
+            .filter(|&t| engine.charged(t) < budgets[t])
+            .collect();
+        if open.is_empty() || !round(&mut engine, &open) {
+            break;
+        }
+    }
+    engine.into_targeted_plan(AlgorithmKind::CtGreedy)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -217,23 +298,31 @@ proptest! {
         }
     }
 
-    /// The batch-commit acceptance contract: `select_batch(k, 1)` produces
-    /// plans **bit-identical** to the sequential `select(k)` rounds for
-    /// every oracle kind and `threads ∈ {1, 2, 4}`; and for `j > 1` the
-    /// batch plan is still feasible, exact per step, and reaches the same
-    /// final similarity when both spend the full candidate supply.
+    /// The batch-commit acceptance contract: SGB at `j = 1` is the
+    /// sequential greedy — **bit-identical** to the reference rounds built
+    /// from `select_custom` + `commit_pick`, and to itself across the
+    /// Index, Naive and Delta evaluators, for `threads ∈ {1, 2, 4}`; and
+    /// for `j > 1` the batch plan is still feasible, exact per step, and
+    /// reaches the same final similarity when both spend the full
+    /// candidate supply.
     #[test]
     fn batch_of_one_is_bit_identical_to_sequential(
         instance in instance_strategy(),
         k in 1usize..=5,
     ) {
         let motif = Motif::Triangle;
+        let mut across_evaluators: Option<ProtectionPlan> = None;
         for cfg in evaluator_configs(motif) {
-            let sequential = sgb_greedy(&instance, k, &cfg.clone().with_threads(1));
+            let reference = reference_sgb(&instance, k, &cfg.clone().with_threads(1));
             for threads in [1usize, 2, 4] {
                 let batch = sgb_greedy_batch(&instance, k, 1, &cfg.clone().with_threads(threads));
-                prop_assert_eq!(&sequential, &batch,
-                    "select_batch(k, 1) {:?} x{} diverged", cfg.evaluator, threads);
+                prop_assert_eq!(&reference, &batch,
+                    "sgb j=1 {:?} x{} diverged from the reference", cfg.evaluator, threads);
+            }
+            match &across_evaluators {
+                None => across_evaluators = Some(reference),
+                Some(first) => prop_assert_eq!(first, &reference,
+                    "sgb j=1 {:?} diverged from the index evaluator", cfg.evaluator),
             }
         }
         // j > 1: disjointness-verified batches stay exact and feasible.
@@ -277,9 +366,11 @@ proptest! {
         }
     }
 
-    /// Batch-of-one rounds are bit-identical to the sequential rounds for
-    /// the targeted (CT/WT) and lazy (CELF) strategies too — the whole
-    /// plan, for every oracle kind and `threads ∈ {1, 2, 4}`.
+    /// Batch-of-one rounds are the sequential rounds for the targeted
+    /// (CT/WT) and lazy (CELF) strategies too, for every oracle kind and
+    /// `threads ∈ {1, 2, 4}`: CT/WT at `j = 1` are bit-identical to the
+    /// reference rounds scored densely through `select_custom`, and CELF
+    /// at `j = 1` commits exactly SGB's steps.
     #[test]
     fn targeted_and_lazy_batch_of_one_is_bit_identical(
         instance in instance_strategy(),
@@ -288,20 +379,24 @@ proptest! {
         let motif = Motif::Triangle;
         let budgets = divide_budget(BudgetDivision::Tbd, k, &instance, motif);
         for cfg in evaluator_configs(motif) {
-            let ct_seq = ct_greedy(&instance, &budgets, &cfg.clone().with_threads(1)).unwrap();
-            let wt_seq = wt_greedy(&instance, &budgets, &cfg.clone().with_threads(1)).unwrap();
-            let celf_seq = celf_greedy(&instance, k, &cfg.clone().with_threads(1));
+            let seq = cfg.clone().with_threads(1);
+            let ct_ref = reference_targeted(&instance, &budgets, &seq, false);
+            let wt_ref = reference_targeted(&instance, &budgets, &seq, true);
+            let sgb = sgb_greedy(&instance, k, &seq);
             for threads in [1usize, 2, 4] {
                 let tcfg = cfg.clone().with_threads(threads);
                 let ct_b = ct_greedy_batch(&instance, &budgets, 1, &tcfg).unwrap();
-                prop_assert_eq!(&ct_seq, &ct_b,
+                prop_assert_eq!(&ct_ref, &ct_b,
                     "ct batch(1) {:?} x{} diverged", cfg.evaluator, threads);
                 let wt_b = wt_greedy_batch(&instance, &budgets, 1, &tcfg).unwrap();
-                prop_assert_eq!(&wt_seq, &wt_b,
+                prop_assert_eq!(&wt_ref, &wt_b,
                     "wt batch(1) {:?} x{} diverged", cfg.evaluator, threads);
                 let celf_b = celf_greedy_batch(&instance, k, 1, &tcfg);
-                prop_assert_eq!(&celf_seq, &celf_b,
-                    "celf batch(1) {:?} x{} diverged", cfg.evaluator, threads);
+                prop_assert_eq!(&sgb.steps, &celf_b.steps,
+                    "celf batch(1) {:?} x{} diverged from sgb", cfg.evaluator, threads);
+                prop_assert_eq!(&sgb.protectors, &celf_b.protectors);
+                prop_assert_eq!(sgb.initial_similarity, celf_b.initial_similarity);
+                prop_assert_eq!(sgb.final_similarity, celf_b.final_similarity);
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Node identifiers and canonical undirected edges.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 
 /// Identifier of a node. Nodes are dense integers `0..graph.node_count()`.
@@ -13,9 +13,31 @@ pub type NodeId = u32;
 /// An undirected edge stored in canonical form (`u() <= v()`).
 ///
 /// The canonical form makes `Edge` usable directly as a hash/ordering key:
-/// `Edge::new(3, 7) == Edge::new(7, 3)`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+/// `Edge::new(3, 7) == Edge::new(7, 3)`. It serializes as the pair
+/// `[u, v]`; deserializing canonicalizes a reversed pair and rejects a
+/// self-loop, so a hand-edited file cannot break the invariant.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Edge(NodeId, NodeId);
+
+impl Deserialize for Edge {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        match v {
+            Value::Seq(items) if items.len() == 2 => {
+                let a = NodeId::from_value(&items[0])?;
+                let b = NodeId::from_value(&items[1])?;
+                if a == b {
+                    return Err(DeError::new(format!(
+                        "self-loop edge ({a}, {a}) is not allowed"
+                    )));
+                }
+                Ok(Edge::new(a, b))
+            }
+            other => Err(DeError::new(format!(
+                "expected 2-element seq for Edge, got {other:?}"
+            ))),
+        }
+    }
+}
 
 impl Edge {
     /// Creates a canonical edge between `a` and `b`.
@@ -107,6 +129,20 @@ impl From<(NodeId, NodeId)> for Edge {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn deserialize_canonicalizes_and_rejects_self_loops() {
+        let pair = |a: i64, b: i64| Value::Seq(vec![Value::I64(a), Value::I64(b)]);
+        assert_eq!(Edge::from_value(&pair(20, 6)).unwrap(), Edge::new(6, 20));
+        assert_eq!(Edge::from_value(&pair(6, 20)).unwrap(), Edge::new(6, 20));
+        let err = Edge::from_value(&pair(6, 6)).unwrap_err();
+        assert!(err.to_string().contains("self-loop"), "got: {err}");
+        assert!(Edge::from_value(&Value::Seq(vec![Value::U64(1)])).is_err());
+        assert!(Edge::from_value(&pair(-1, 2)).is_err());
+        // Round trip through the serialized form.
+        let e = Edge::new(9, 4);
+        assert_eq!(Edge::from_value(&e.to_value()).unwrap(), e);
+    }
 
     #[test]
     fn canonicalizes_order() {

@@ -28,14 +28,15 @@
 //!
 //! ## Selection counters
 //!
-//! When enabled via [`set_counting`], the dispatcher tallies how often each
-//! kernel fires in process-wide relaxed atomics ([`counts`]). Counting is
-//! off by default (one relaxed load + branch on the hot path) and is only
-//! switched on by `--stats` runs, which fold the deltas into the
-//! `tpp-obs` report.
+//! While any [`CountingGuard`] from [`start_counting`] is alive, the
+//! dispatcher tallies how often each kernel fires in process-wide relaxed
+//! atomics ([`counts`]). Counting is off by default (one relaxed load +
+//! branch on the hot path), is switched on by `--stats` runs, which fold
+//! the deltas into the `tpp-obs` report, and switches off again when the
+//! last guard drops.
 
 use crate::edge::NodeId;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
 /// Minimum `|large| / |small|` ratio before galloping beats the merge.
 ///
@@ -412,8 +413,7 @@ impl KernelCounts {
         self.merge + self.gallop + self.hub_probe + self.hub_and
     }
 
-    /// Per-kernel increase since `baseline` (saturating, so a concurrent
-    /// [`reset_counts`] never underflows).
+    /// Per-kernel increase since `baseline` (saturating).
     #[must_use]
     pub fn since(&self, baseline: KernelCounts) -> KernelCounts {
         KernelCounts {
@@ -425,27 +425,46 @@ impl KernelCounts {
     }
 }
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
+/// Number of live [`CountingGuard`]s; selections are tallied while it is
+/// nonzero.
+static COUNTING: AtomicUsize = AtomicUsize::new(0);
 static MERGE: AtomicU64 = AtomicU64::new(0);
 static GALLOP: AtomicU64 = AtomicU64::new(0);
 static HUB_PROBE: AtomicU64 = AtomicU64::new(0);
 static HUB_AND: AtomicU64 = AtomicU64::new(0);
 
-/// Turns kernel-selection counting on or off (process-wide). Off by
-/// default: the dispatch hot path then pays one relaxed load + branch.
-pub fn set_counting(on: bool) {
-    COUNTING.store(on, Relaxed);
+/// Keeps kernel-selection counting on while it lives; counting stops when
+/// the last live guard drops, on every return path of its owner.
+#[must_use = "counting stops as soon as the guard drops"]
+#[derive(Debug)]
+pub struct CountingGuard {
+    baseline: KernelCounts,
 }
 
-/// Whether selection counting is currently on.
-#[must_use]
-pub fn counting_enabled() -> bool {
-    COUNTING.load(Relaxed)
+impl CountingGuard {
+    /// Selections tallied since this guard started (process-wide, so it
+    /// includes those of concurrent counting runs).
+    #[must_use]
+    pub fn since_start(&self) -> KernelCounts {
+        counts().since(self.baseline)
+    }
 }
 
-/// Snapshot of the selection tallies. Tallies are monotone while counting
-/// stays on; diff two snapshots ([`KernelCounts::since`]) to attribute
-/// selections to one run.
+impl Drop for CountingGuard {
+    fn drop(&mut self) {
+        COUNTING.fetch_sub(1, Relaxed);
+    }
+}
+
+/// Turns kernel-selection counting on until the returned guard drops.
+/// Guards nest: counting stays on while any of them is alive.
+pub fn start_counting() -> CountingGuard {
+    COUNTING.fetch_add(1, Relaxed);
+    CountingGuard { baseline: counts() }
+}
+
+/// Snapshot of the selection tallies. Tallies only grow; diff two
+/// snapshots ([`KernelCounts::since`]) to attribute selections to one run.
 #[must_use]
 pub fn counts() -> KernelCounts {
     KernelCounts {
@@ -456,18 +475,9 @@ pub fn counts() -> KernelCounts {
     }
 }
 
-/// Zeroes the selection tallies (test helper; prefer
-/// [`KernelCounts::since`] in production paths).
-pub fn reset_counts() {
-    MERGE.store(0, Relaxed);
-    GALLOP.store(0, Relaxed);
-    HUB_PROBE.store(0, Relaxed);
-    HUB_AND.store(0, Relaxed);
-}
-
 #[inline]
 fn record(k: Kernel) {
-    if !COUNTING.load(Relaxed) {
+    if COUNTING.load(Relaxed) == 0 {
         return;
     }
     match k {
@@ -633,23 +643,26 @@ mod tests {
 
     #[test]
     fn counters_tally_only_while_enabled() {
-        // Process-wide counters: other tests (and threads) may also bump
-        // them, so assert on deltas of *disjoint* kernels via `since`.
+        // The only test in this binary that starts counting, so no other
+        // guard is alive: once ours drop, the tallies must freeze even
+        // though concurrent tests keep intersecting.
         let a: Vec<NodeId> = (0..1000).collect();
         let b: Vec<NodeId> = vec![5, 500];
-        set_counting(false);
-        let before = counts();
+        let outer = start_counting();
+        {
+            let inner = start_counting();
+            intersect_with(&a, &b, None, None, |_| {});
+            assert!(inner.since_start().gallop >= 1);
+        }
+        // The inner guard dropped; the outer one keeps counting on.
+        let before = outer.since_start();
+        assert_eq!(count_with(&a, &b, None, None), 2);
+        let after = outer.since_start();
+        assert!(after.gallop > before.gallop, "nested drop stopped counting");
+        drop(outer);
+        let frozen = counts();
         intersect_with(&a, &b, None, None, |_| {});
-        // Disabled: our gallop selection above left no trace... but other
-        // threads may tally, so only check monotonicity, not equality.
-        set_counting(true);
-        let base = counts();
-        intersect_with(&a, &b, None, None, |_| {});
-        let n = count_with(&a, &b, None, None);
-        assert_eq!(n, 2);
-        let d = counts().since(base);
-        assert!(d.gallop >= 2, "expected two gallop selections, got {d:?}");
-        set_counting(false);
-        assert!(counts().total() >= before.total());
+        assert_eq!(count_with(&a, &b, None, None), 2);
+        assert_eq!(counts(), frozen, "tallies moved with no guard alive");
     }
 }

@@ -52,29 +52,6 @@ pub(crate) fn build_postings(instances: &[MotifInstance]) -> FastMap<Edge, Posti
     postings
 }
 
-/// `(own, cross)` split of a posting's alive instances relative to
-/// `target_idx` — the CT/WT score kernel.
-pub(crate) fn posting_gain_split(
-    posting: Option<&Posting>,
-    alive: &[bool],
-    instances: &[MotifInstance],
-    target_idx: usize,
-) -> (usize, usize) {
-    let (mut own, mut cross) = (0usize, 0usize);
-    if let Some(po) = posting {
-        for &id in &po.ids {
-            if alive[id as usize] {
-                if instances[id as usize].target_idx == target_idx {
-                    own += 1;
-                } else {
-                    cross += 1;
-                }
-            }
-        }
-    }
-    (own, cross)
-}
-
 /// Alive instances a posting can hold before [`posting_breakdown`] spills
 /// its target-id buffer from the stack to the heap. Posting lists past
 /// this length are rare hub edges, where one allocation is noise next to
@@ -217,9 +194,15 @@ mod tests {
             assert_eq!(idx.gain(Edge::new(0, 3)), 2);
             assert_eq!(idx.gain(Edge::new(1, 3)), 1);
             assert_eq!(idx.gain(Edge::new(5, 6)), 0);
-            assert_eq!(idx.gain_split(Edge::new(0, 3), 0), (1, 1));
-            assert_eq!(idx.gain_split(Edge::new(1, 3), 0), (1, 0));
-            assert_eq!(idx.gain_split(Edge::new(1, 3), 1), (0, 1));
+            // Per-target breakdowns: (0,3) breaks one instance of each
+            // target, (1,3) only target 0's.
+            let mut breakdown = Vec::new();
+            idx.gain_breakdown(Edge::new(0, 3), &mut breakdown);
+            assert_eq!(breakdown, [(0, 1), (1, 1)]);
+            idx.gain_breakdown(Edge::new(1, 3), &mut breakdown);
+            assert_eq!(breakdown, [(0, 1)]);
+            idx.gain_breakdown(Edge::new(5, 6), &mut breakdown);
+            assert!(breakdown.is_empty());
         }
     }
 

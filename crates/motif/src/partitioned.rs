@@ -112,7 +112,7 @@ impl IndexShard {
 /// across degree-balanced node-range shards and shard-parallel commits.
 ///
 /// Scans read one posting (`gain` is an `O(1)` count lookup,
-/// `gain_breakdown`/`gain_split` walk one posting list);
+/// `gain_breakdown` walks one posting list);
 /// [`delete_edge`](Self::delete_edge) and the batch
 /// [`delete_edges`](Self::delete_edges) update only the dirty shards.
 #[derive(Debug, Clone)]
@@ -455,17 +455,6 @@ impl PartitionedCoverageIndex {
             .postings
             .get(&p)
             .map_or(0, |po| po.alive as usize)
-    }
-
-    /// `(own, cross)` gain split relative to `target_idx` (CT/WT score).
-    #[must_use]
-    pub fn gain_split(&self, p: Edge, target_idx: usize) -> (usize, usize) {
-        crate::coverage::posting_gain_split(
-            self.shards[self.shard_of(p.u())].postings.get(&p),
-            &self.alive,
-            &self.instances,
-            target_idx,
-        )
     }
 
     /// Sparse per-target breakdown of `Δ_p`: `out` is refilled with one
@@ -853,7 +842,6 @@ mod tests {
                 for p in one.alive_candidate_edges() {
                     assert_eq!(part.gain(p), one.gain(p), "{motif} gain({p})");
                     assert_eq!(breakdown(&part, p), breakdown(&one, p));
-                    assert_eq!(part.gain_split(p, 0), one.gain_split(p, 0));
                 }
                 part.check_invariants();
             }

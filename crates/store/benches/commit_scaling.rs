@@ -11,7 +11,7 @@
 //!   by the dirty shards' lists (single-threaded here — the win is
 //!   structural, not parallelism).
 //! * `partitioned_commit_batch8` — the same deletion sequence through
-//!   `delete_edges` in batches of 8 (the engine's `select_batch(k, 8)`
+//!   `delete_edges` in batches of 8 (the engine's `run_global(k, 8)`
 //!   commit shape): one routing + compaction pass per batch.
 //! * `clone_partitioned` — the per-iteration index clone both commit
 //!   benches pay, so the JSON keeps the commit-only margins readable.
@@ -21,9 +21,10 @@
 //!   commits (the batch-width sweep).
 //! * `rounds_targeted_sequential` vs `rounds_targeted_batch_j8` — the same
 //!   64 commits as **targeted** (CT/WT-shaped) rounds: lexicographic
-//!   `(own, cross)` argmax per open target, versus 8 disjoint picks per
-//!   scan capped per charged target (this PR's batch-aware targeted
-//!   rounds, modeled directly on the index).
+//!   `(own, cross)` argmax per open target, scored from each candidate's
+//!   sparse `gain_breakdown` (the kernel CT/WT rounds run), versus 8
+//!   disjoint picks per scan (the engine's batch-aware targeted rounds,
+//!   modeled directly on the index).
 //!
 //! The 16-shard sequential and batch commits are asserted to produce the
 //! same break counts and final state as a one-shard index before anything
@@ -75,7 +76,7 @@ fn rounds_sequential(mut idx: PartitionedCoverageIndex) -> usize {
 
 /// The same number of commits, one scan per `j`: each round accepts the
 /// top-`j` candidates with pairwise-disjoint gain sets and commits them as
-/// one batch (the engine's `select_batch` commit shape).
+/// one batch (the engine's `run_global(k, j)` commit shape).
 fn rounds_batch(mut idx: PartitionedCoverageIndex, j: usize) -> usize {
     let mut broken = 0usize;
     let mut committed = 0usize;
@@ -107,6 +108,25 @@ fn rounds_batch(mut idx: PartitionedCoverageIndex, j: usize) -> usize {
     broken
 }
 
+/// `(own, cross)` of `p` relative to target `t`, from its sparse
+/// per-target breakdown (refilled into `scratch`) — the CT/WT score.
+fn targeted_score(
+    idx: &PartitionedCoverageIndex,
+    p: Edge,
+    t: usize,
+    scratch: &mut Vec<(usize, usize)>,
+) -> (usize, usize) {
+    idx.gain_breakdown(p, scratch);
+    let (mut own, mut total) = (0usize, 0usize);
+    for &(target, broken) in scratch.iter() {
+        total += broken;
+        if target == t {
+            own = broken;
+        }
+    }
+    (own, total - own)
+}
+
 /// Advances past fully protected targets (the WT budget-loop shape).
 fn next_open_target(idx: &PartitionedCoverageIndex, from: usize) -> Option<usize> {
     (from..idx.targets().len()).find(|&t| idx.target_similarity(t) > 0)
@@ -117,6 +137,7 @@ fn next_open_target(idx: &PartitionedCoverageIndex, from: usize) -> Option<usize
 fn rounds_targeted_sequential(mut idx: PartitionedCoverageIndex) -> usize {
     let mut broken = 0usize;
     let mut t = 0usize;
+    let mut scratch = Vec::new();
     for _ in 0..ROUND_COMMITS {
         let Some(open) = next_open_target(&idx, t) else {
             break;
@@ -125,7 +146,7 @@ fn rounds_targeted_sequential(mut idx: PartitionedCoverageIndex) -> usize {
         let mut best: Option<((usize, usize), Edge)> = None;
         for slice in idx.alive_candidate_slices() {
             for &e in slice {
-                let s = idx.gain_split(e, t);
+                let s = targeted_score(&idx, e, t, &mut scratch);
                 if best.is_none_or(|(bs, _)| s > bs) {
                     best = Some((s, e));
                 }
@@ -144,6 +165,7 @@ fn rounds_targeted_batch_j8(mut idx: PartitionedCoverageIndex) -> usize {
     let mut broken = 0usize;
     let mut committed = 0usize;
     let mut t = 0usize;
+    let mut scratch = Vec::new();
     while committed < ROUND_COMMITS {
         let Some(open) = next_open_target(&idx, t) else {
             break;
@@ -152,7 +174,7 @@ fn rounds_targeted_batch_j8(mut idx: PartitionedCoverageIndex) -> usize {
         let mut scored: Vec<((usize, usize), Edge)> = idx
             .alive_candidate_slices()
             .flatten()
-            .map(|&e| (idx.gain_split(e, t), e))
+            .map(|&e| (targeted_score(&idx, e, t, &mut scratch), e))
             .collect();
         scored.sort_unstable_by_key(|&((own, cross), e)| {
             (std::cmp::Reverse(own), std::cmp::Reverse(cross), e)

@@ -553,17 +553,6 @@ pub fn load_with_version<P: AsRef<Path>>(path: P) -> Result<(CsrGraph, u32), Sto
     read_snapshot_versioned(&mut r)
 }
 
-/// Like [`load`], reporting per-phase decode wall time into `obs`'s store
-/// section (see [`read_snapshot_observed`]).
-///
-/// # Errors
-/// Returns the specific [`StoreError`] describing what failed.
-pub fn load_observed<P: AsRef<Path>>(path: P, obs: &Recorder) -> Result<CsrGraph, StoreError> {
-    let file = std::fs::File::open(path)?;
-    let mut r = std::io::BufReader::new(file);
-    read_snapshot_observed(&mut r, obs).map(|(g, _)| g)
-}
-
 /// Zero-copy load: memory-maps `path` and serves the CSR arrays straight
 /// from the page cache, with the chosen verification tier.
 ///
